@@ -449,8 +449,7 @@ pub fn scaling_report() -> ScalingReport {
 
 // ----------------------------------------------------- serving stack
 
-/// One async-server run of the serving experiment (the same submission
-/// pattern, measured once per admission mode).
+/// One async-server run of the serving experiment.
 #[derive(Debug, Clone)]
 pub struct ServerRunStats {
     /// Jobs completed by the run.
@@ -471,8 +470,7 @@ pub struct ServerRunStats {
 /// stack exercised end to end — pipelined farm vs barriered reference,
 /// continuous admission vs its barriered same-placement oracle,
 /// analytical estimates, and the async front-end under multi-client
-/// load in both admission modes (continuous, the default, vs the
-/// wave-batched baseline).
+/// load.
 #[derive(Debug, Clone)]
 pub struct ServingBenchReport {
     /// Clusters in the farm.
@@ -501,6 +499,11 @@ pub struct ServingBenchReport {
     pub snapshots_identical: bool,
     /// Virtual farm makespan of the continuous-admission run, cycles.
     pub continuous_makespan_cycles: u64,
+    /// Mean `finish_cycle` of the continuous-admission jobs: the
+    /// virtual cycle at which an average job's completion is
+    /// delivered. A batch holds every completion until its makespan,
+    /// so this is compared against `pipelined_makespan_cycles`.
+    pub continuous_mean_finish_cycles: f64,
     /// Continuous-admission per-job outputs **and** `PerfSnapshot`s
     /// bitwise identical to the barriered oracle replaying the exact
     /// placement continuous admission chose.
@@ -511,16 +514,8 @@ pub struct ServingBenchReport {
     /// Simulator cycles spent while answering the estimates (must be
     /// zero — estimates never touch the farm).
     pub estimate_sim_cycles: u64,
-    /// The async server under continuous admission (the default).
+    /// The async server under multi-client load.
     pub continuous: ServerRunStats,
-    /// The async server under wave batching (the PR 3 baseline).
-    pub wave: ServerRunStats,
-    /// `wave mean latency / continuous mean latency` — the continuous
-    /// admission win (≥ 1.0 means continuous is no worse).
-    pub latency_win: f64,
-    /// `continuous jobs/s / wave jobs/s` (≥ 1.0 means continuous
-    /// throughput is no worse).
-    pub throughput_ratio: f64,
     /// Worker-pool core-scaling sweep: the same continuous drive at
     /// 1, 2 and 4 pool threads, wall-clock jobs/s each.
     pub pool_scaling: Vec<PoolScalingPoint>,
@@ -701,8 +696,7 @@ fn serving_jobs() -> Vec<(String, ntx_sched::JobKind)> {
 
 /// Submits the serving queue to an async server (four clients, four
 /// jobs each, assorted priorities, generous deadlines) and returns the
-/// run statistics. One submission pattern shared by both admission
-/// modes so their latency/throughput numbers compare like for like.
+/// run statistics.
 fn serve_queue(
     jobs: &[(String, ntx_sched::JobKind)],
     config: ntx_sched::ServerConfig,
@@ -749,12 +743,12 @@ fn serve_queue(
 /// Runs the mixed queue through the synchronous continuous-admission
 /// engine, then replays the *exact* placement it chose into a fresh
 /// barriered farm — the differential oracle. Returns the continuous
-/// virtual makespan and whether per-job outputs and `PerfSnapshot`s
-/// matched bit for bit.
+/// virtual makespan, the mean job finish cycle, and whether per-job
+/// outputs and `PerfSnapshot`s matched bit for bit.
 fn continuous_vs_barriered_oracle(
     jobs: &[(String, ntx_sched::JobKind)],
     clusters: usize,
-) -> (u64, bool) {
+) -> (u64, f64, bool) {
     use ntx_sched::{ClusterFarm, DurationTable, Job, JobResult, ScaleOutConfig, SimulatorBackend};
     let config = ScaleOutConfig::with_clusters(clusters);
     let mut sim = SimulatorBackend::new(config);
@@ -785,6 +779,11 @@ fn continuous_vs_barriered_oracle(
         settle(r, &mut table, &mut results);
     }
     let makespan = sim.farm_makespan();
+    let mean_finish = results
+        .iter()
+        .map(|r| r.as_ref().expect("continuous result").finish_cycle as f64)
+        .sum::<f64>()
+        / jobs.len() as f64;
 
     // The oracle: identical placement, barriered accounting
     // (Placement::replay asserts the rebuilt shard count matches).
@@ -810,7 +809,7 @@ fn continuous_vs_barriered_oracle(
             && c.report.per_cluster == o.report.per_cluster
             && c.report.makespan_cycles == o.report.makespan_cycles
     });
-    (makespan, identical)
+    (makespan, mean_finish, identical)
 }
 
 /// Runs the serving experiment (see [`ServingBenchReport`]).
@@ -886,23 +885,11 @@ pub fn serving_report() -> ServingBenchReport {
 
     // Continuous admission against its barriered same-placement
     // oracle: the farm-as-a-service path must not change a single bit.
-    let (continuous_makespan_cycles, continuous_bit_identical) =
+    let (continuous_makespan_cycles, continuous_mean_finish_cycles, continuous_bit_identical) =
         continuous_vs_barriered_oracle(&jobs, clusters);
 
-    // The async front-end under multi-client load, once per admission
-    // mode: continuous (the default) and the wave-batched baseline.
+    // The async front-end under multi-client load.
     let continuous = serve_queue(&jobs, ServerConfig::with_clusters(clusters));
-    let wave = serve_queue(&jobs, ServerConfig::with_clusters(clusters).wave_batched());
-    let latency_win = if continuous.mean_latency_s > 0.0 {
-        wave.mean_latency_s / continuous.mean_latency_s
-    } else {
-        1.0
-    };
-    let throughput_ratio = if wave.jobs_per_second > 0.0 {
-        continuous.jobs_per_second / wave.jobs_per_second
-    } else {
-        1.0
-    };
 
     // Worker-pool core scaling: the same drive at 1/2/4 pool threads,
     // differential-checked against the serial run.
@@ -920,13 +907,11 @@ pub fn serving_report() -> ServingBenchReport {
         bit_identical,
         snapshots_identical,
         continuous_makespan_cycles,
+        continuous_mean_finish_cycles,
         continuous_bit_identical,
         estimated_cycles_total,
         estimate_sim_cycles,
         continuous,
-        wave,
-        latency_win,
-        throughput_ratio,
         pool_scaling,
         pool_speedup_4x,
         pool_bit_identical,
@@ -1463,31 +1448,21 @@ mod tests {
             "continuous admission must match its barriered same-placement oracle"
         );
         assert!(r.continuous_makespan_cycles > 0);
-        for (mode, stats) in [("continuous", &r.continuous), ("wave", &r.wave)] {
-            assert_eq!(stats.served_jobs, r.jobs as u64, "{mode} dropped jobs");
-            assert_eq!(stats.deadline_misses, 0, "{mode} missed deadlines");
-            assert!(stats.jobs_per_second > 0.0, "{mode} throughput");
-            assert!(
-                stats.occupancy > 0.0 && stats.occupancy <= 1.0,
-                "{mode} occupancy"
-            );
-        }
-        // Continuous admission delivers completions as jobs retire
-        // instead of at wave boundaries; its mean latency must not
-        // regress behind wave batching. (The release-mode bench gate
-        // enforces the strict win; debug timing keeps a small margin.)
-        // Latency here is pure wall clock, so a loaded test host can
-        // depress a single sample — retry before declaring a loss.
-        let mut win = r.latency_win;
-        for _ in 0..2 {
-            if win > 0.8 {
-                break;
-            }
-            win = serving_report().latency_win;
-        }
+        let st = &r.continuous;
+        assert_eq!(st.served_jobs, r.jobs as u64, "server dropped jobs");
+        assert_eq!(st.deadline_misses, 0, "server missed deadlines");
+        assert!(st.jobs_per_second > 0.0, "server throughput");
         assert!(
-            win > 0.8,
-            "continuous mean latency fell far behind wave batching: {win:.3}"
+            st.occupancy > 0.0 && st.occupancy <= 1.0,
+            "server occupancy"
+        );
+        // Continuous admission delivers each completion as its job
+        // retires; a batch delivers every completion at its makespan.
+        assert!(
+            r.continuous_mean_finish_cycles < r.pipelined_makespan_cycles as f64,
+            "continuous mean finish {:.1} must beat the batch pipelined makespan {}",
+            r.continuous_mean_finish_cycles,
+            r.pipelined_makespan_cycles
         );
     }
 

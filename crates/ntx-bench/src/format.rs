@@ -504,9 +504,10 @@ pub fn serving(r: &crate::experiments::ServingBenchReport) -> String {
         if r.snapshots_identical { "yes" } else { "NO" },
     ));
     s.push_str(&format!(
-        "  continuous farm    : {:>12} cycles  (graded placement, outputs vs barriered \
-         same-placement oracle bit-identical: {})\n",
+        "  continuous farm    : {:>12} cycles  (graded placement, mean job finish {:.1} cycles, \
+         outputs vs barriered same-placement oracle bit-identical: {})\n",
         r.continuous_makespan_cycles,
+        r.continuous_mean_finish_cycles,
         if r.continuous_bit_identical {
             "yes"
         } else {
@@ -517,21 +518,16 @@ pub fn serving(r: &crate::experiments::ServingBenchReport) -> String {
         "  analytical backend : {:>12} cycles estimated, {} simulator cycles spent\n",
         r.estimated_cycles_total, r.estimate_sim_cycles
     ));
-    for (mode, st) in [("continuous", &r.continuous), ("wave      ", &r.wave)] {
-        s.push_str(&format!(
-            "  server ({mode}): {} jobs, {:.1} jobs/s, latency mean {:.1} ms / max {:.1} ms, \
-             occupancy {:.0}%, {} deadline misses\n",
-            st.served_jobs,
-            st.jobs_per_second,
-            st.mean_latency_s * 1e3,
-            st.max_latency_s * 1e3,
-            st.occupancy * 100.0,
-            st.deadline_misses
-        ));
-    }
+    let st = &r.continuous;
     s.push_str(&format!(
-        "  continuous vs wave : {:.2}x mean-latency win, {:.2}x throughput\n",
-        r.latency_win, r.throughput_ratio
+        "  server             : {} jobs, {:.1} jobs/s, latency mean {:.1} ms / max {:.1} ms, \
+         occupancy {:.0}%, {} deadline misses\n",
+        st.served_jobs,
+        st.jobs_per_second,
+        st.mean_latency_s * 1e3,
+        st.max_latency_s * 1e3,
+        st.occupancy * 100.0,
+        st.deadline_misses
     ));
     s.push_str(&format!(
         "  worker-pool scaling ({} host cores, bit-identical to serial: {}):\n",
@@ -590,13 +586,11 @@ pub fn serving_json(r: &crate::experiments::ServingBenchReport) -> String {
             "  \"bit_identical\": {},\n",
             "  \"snapshots_identical\": {},\n",
             "  \"continuous_makespan_cycles\": {},\n",
+            "  \"continuous_mean_finish_cycles\": {:.1},\n",
             "  \"continuous_bit_identical\": {},\n",
             "  \"estimated_cycles_total\": {},\n",
             "  \"estimate_sim_cycles\": {},\n",
             "  \"server_continuous\": {},\n",
-            "  \"server_wave\": {},\n",
-            "  \"latency_win\": {:.3},\n",
-            "  \"throughput_ratio\": {:.3},\n",
             "  \"host_cores\": {},\n",
             "  \"pool_bit_identical\": {},\n",
             "  \"pool_speedup_4x\": {:.3},\n",
@@ -613,13 +607,11 @@ pub fn serving_json(r: &crate::experiments::ServingBenchReport) -> String {
         r.bit_identical,
         r.snapshots_identical,
         r.continuous_makespan_cycles,
+        r.continuous_mean_finish_cycles,
         r.continuous_bit_identical,
         r.estimated_cycles_total,
         r.estimate_sim_cycles,
         server_run_json(&r.continuous),
-        server_run_json(&r.wave),
-        r.latency_win,
-        r.throughput_ratio,
         r.host_cores,
         r.pool_bit_identical,
         r.pool_speedup_4x,

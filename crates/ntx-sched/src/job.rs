@@ -156,8 +156,8 @@ pub struct JobOpts {
     /// analytical model).
     pub backend: BackendKind,
     /// Serving priority; higher runs earlier. The [`JobQueue`] itself
-    /// stays FIFO — priorities order waves in the
-    /// [`Server`](crate::Server) front-end.
+    /// stays FIFO — the [`Server`](crate::Server) admits ready jobs
+    /// highest priority first.
     pub priority: u8,
     /// Optional wall-clock completion deadline, measured from
     /// submission; the server reports misses per job and in its
@@ -254,7 +254,7 @@ pub struct Job {
     /// it at shutdown with
     /// [`SchedError::DependencyDropped`](crate::SchedError). A FIFO
     /// [`JobQueue`] honors edges by construction when predecessors are
-    /// enqueued first; wave admission ignores them.
+    /// enqueued first.
     pub deps: Vec<u64>,
 }
 
@@ -419,26 +419,8 @@ impl JobQueue {
         Self::default()
     }
 
-    /// Enqueues a job with default options; returns its id.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the fluent builder: `queue.job(label).kind(kind).submit()`"
-    )]
-    pub fn push(&mut self, label: impl Into<String>, kind: JobKind) -> u64 {
-        self.enqueue(label.into(), kind, JobOpts::default(), Vec::new())
-    }
-
-    /// Enqueues a job with explicit serving options; returns its id.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the fluent builder: `queue.job(label).kind(kind).priority(p).submit()`"
-    )]
-    pub fn push_with(&mut self, label: impl Into<String>, kind: JobKind, opts: JobOpts) -> u64 {
-        self.enqueue(label.into(), kind, opts, Vec::new())
-    }
-
-    /// The one enqueue primitive behind both the fluent
-    /// [`JobQueue::job`] builder and the deprecated `push*` shims.
+    /// The enqueue primitive behind the fluent [`JobQueue::job`]
+    /// builder.
     pub(crate) fn enqueue(
         &mut self,
         label: String,
@@ -455,16 +437,6 @@ impl JobQueue {
             opts,
             deps,
         });
-        id
-    }
-
-    /// Enqueues an already-identified job, keeping its id (the server
-    /// front-end routes completions by submission id). Later default
-    /// [`JobQueue::push`] calls continue above the highest id seen.
-    pub fn push_job(&mut self, job: Job) -> u64 {
-        let id = job.id;
-        self.next_id = self.next_id.max(id + 1);
-        self.jobs.push_back(job);
         id
     }
 
@@ -505,33 +477,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().label, "a");
         assert_eq!(q.pop().unwrap().label, "b");
         assert!(q.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_push_shims_still_enqueue() {
-        let mut q = JobQueue::new();
-        let a = q.push(
-            "a",
-            JobKind::Axpy {
-                a: 1.0,
-                x: vec![1.0],
-                y: vec![2.0],
-            },
-        );
-        let b = q.push_with(
-            "b",
-            JobKind::Axpy {
-                a: 2.0,
-                x: vec![1.0],
-                y: vec![2.0],
-            },
-            JobOpts::estimate(),
-        );
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(q.pop().unwrap().label, "a");
-        let b = q.pop().unwrap();
-        assert_eq!(b.opts.backend, BackendKind::Estimate);
     }
 
     #[test]

@@ -46,10 +46,9 @@
 //!   cluster subsets by a measured-duration [`DurationTable`] (EWMA of
 //!   actual cluster-cycles, seeded by roofline estimates) — and its
 //!   completion is delivered the shard event its last shard retires.
-//!   Wave batching is kept behind
-//!   [`AdmissionMode::Wave`](server::AdmissionMode) as the
-//!   differential baseline, and the barriered farm remains the
-//!   bit-exact oracle;
+//!   Ready jobs are admitted highest priority first and dependency
+//!   edges hold a job back until its predecessors finish; the
+//!   barriered farm remains the bit-exact oracle;
 //! * **Reports** — [`ScaleOutReport`] aggregates cycles, stalls, DMA
 //!   occupancy and — through `ntx-model` — energy and Gflop/s/W;
 //!   [`ServingReport`] rolls up a server run (jobs/s, latency,
@@ -117,7 +116,7 @@ pub use ntx_mem::{HmcConfig, HmcMesh, HmcSubsystem, MemoryModel, MeshConfig};
 pub use ntx_sim::{ClusterKill, FaultPlan, LinkFault, StallSpec};
 pub use pipeline::TilePipeline;
 pub use report::{ScaleOutReport, ServingReport};
-pub use server::{AdmissionMode, Completion, JobHandle, Server, ServerConfig, ServerHandle};
+pub use server::{Completion, JobHandle, Server, ServerConfig, ServerHandle};
 pub use session::{JobBuilder, JobSink, ReadyJob, Session};
 pub use tiler::{ClusterPlan, Readback, ReadbackSource, Tiler};
 

@@ -6,9 +6,7 @@
 //! the §II-E schedule (watermark rule, prefetch ordering, ping-pong
 //! safety). The executor drives one pipeline per cluster step by step,
 //! which lets N independent cluster simulations interleave
-//! round-robin on one thread (deterministically) or drain on one OS
-//! thread each behind the `parallel` feature, with bit-identical
-//! results either way.
+//! round-robin on one thread, deterministically.
 
 pub use ntx_kernels::schedule::TilePipeline;
 

@@ -143,9 +143,9 @@ pub struct ServingReport {
     pub native: u64,
     /// Jobs rejected at admission.
     pub failed: u64,
-    /// Scheduling rounds executed: waves in wave mode, non-empty
-    /// admission groups in continuous mode.
-    pub waves: u64,
+    /// Admission rounds executed: trips of the worker loop that took
+    /// at least one new submission off the channel.
+    pub admission_rounds: u64,
     /// Jobs whose wall-clock deadline was missed.
     pub deadline_misses: u64,
     /// Wall-clock seconds from server start to shutdown.
@@ -154,8 +154,8 @@ pub struct ServingReport {
     pub total_latency: Duration,
     /// Largest per-job wall-clock latency.
     pub max_latency: Duration,
-    /// Simulated makespan cycles of the run: summed wave windows in
-    /// wave mode, the latest cluster clock in continuous mode.
+    /// Simulated makespan cycles of the run: the latest cluster clock
+    /// of the farm.
     pub makespan_cycles: u64,
     /// Cluster-cycles actually spent executing shards.
     pub busy_cluster_cycles: u64,
@@ -207,7 +207,7 @@ impl ServingReport {
             estimated: 0,
             native: 0,
             failed: 0,
-            waves: 0,
+            admission_rounds: 0,
             deadline_misses: 0,
             wall_seconds: 0.0,
             total_latency: Duration::ZERO,

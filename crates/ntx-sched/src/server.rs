@@ -2,23 +2,16 @@
 //!
 //! [`Server`] owns a worker thread driving the scale-out backends; any
 //! number of client threads submit jobs through cloned [`Session`]s
-//! (see [`Server::session`]) over an mpsc channel. Two admission
-//! modes, selected by [`ServerConfig::admission`]:
-//!
-//! * [`AdmissionMode::Continuous`] (the **default**) — the farm runs
-//!   as a persistent service. Every submission is validated, planned
-//!   and placed onto the least-loaded clusters the moment it arrives
-//!   (graded cluster subsets sized by the measured-duration
-//!   [`DurationTable`]); the worker interleaves admission with
-//!   per-shard farm events ([`ClusterFarm::step`]) and delivers each
-//!   [`Completion`] the event its last shard retires. A late-arriving
-//!   small job lands on whichever cluster frees up first instead of
-//!   waiting for an entire wave to retire.
-//! * [`AdmissionMode::Wave`] — the PR 3 batching reference: pending
-//!   submissions are gathered into priority-ordered waves and each
-//!   wave runs to completion before its completions are delivered.
-//!   Kept as the differential baseline the benchmarks compare
-//!   continuous admission against.
+//! (see [`Server::session`]) over an mpsc channel. The farm runs as a
+//! persistent service: every submission is validated, planned and
+//! placed onto the least-loaded clusters the moment it arrives (graded
+//! cluster subsets sized by the measured-duration [`DurationTable`]);
+//! the worker interleaves admission with per-shard farm events
+//! ([`ClusterFarm::step`]) and delivers each [`Completion`] the event
+//! its last shard retires. A late-arriving small job lands on
+//! whichever cluster frees up first instead of waiting for unrelated
+//! work to retire. Ready jobs are admitted highest priority first, and
+//! dependency edges hold a job back until its predecessors finish.
 //!
 //! Per-job wall-clock deadlines are checked at completion and reported
 //! both per job and in the final [`ServingReport`].
@@ -36,38 +29,17 @@ use crate::backend::{
     AdmittedJob, AnalyticalBackend, Backend, BackendKind, DurationTable, NativeHost,
     SimulatorBackend,
 };
-use crate::executor::{JobResult, ScaleOutConfig, ScaleOutExecutor};
-use crate::job::{Job, JobKind, JobOpts, JobQueue};
+use crate::executor::{JobResult, ScaleOutConfig};
+use crate::job::{Job, JobKind, JobOpts};
 use crate::report::ServingReport;
 use crate::session::Session;
 use crate::SchedError;
 
-/// How the worker admits submissions into the farm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Feed each job into the running farm the moment it arrives and
-    /// deliver its completion the event its last shard retires (the
-    /// default).
-    #[default]
-    Continuous,
-    /// Gather pending submissions into priority-ordered waves and run
-    /// each wave to completion before delivering (the PR 3 reference
-    /// behaviour). Wave admission does **not** honor dependency edges
-    /// ([`ReadyJob::after`](crate::session::ReadyJob::after)) — waves
-    /// order by priority alone; DAG clients need continuous admission.
-    Wave,
-}
-
 /// Configuration of the serving front-end.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
     /// The scale-out system the worker runs.
     pub scale_out: ScaleOutConfig,
-    /// Maximum submissions gathered into one scheduling round (a wave
-    /// in wave mode; an admission group in continuous mode).
-    pub max_wave: usize,
-    /// Admission mode (continuous by default).
-    pub admission: AdmissionMode,
     /// Bound on submissions in flight (accepted but not yet
     /// completed). When full, `submit` returns
     /// [`SchedError::Backpressure`] immediately and
@@ -75,17 +47,6 @@ pub struct ServerConfig {
     /// for a slot. `0` (the default) means unbounded — the
     /// pre-overload-control behaviour.
     pub queue_limit: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            scale_out: ScaleOutConfig::default(),
-            max_wave: 64,
-            admission: AdmissionMode::default(),
-            queue_limit: 0,
-        }
-    }
 }
 
 impl ServerConfig {
@@ -96,13 +57,6 @@ impl ServerConfig {
             scale_out: ScaleOutConfig::with_clusters(clusters),
             ..Self::default()
         }
-    }
-
-    /// Selects wave-batched admission (the differential baseline).
-    #[must_use]
-    pub fn wave_batched(mut self) -> Self {
-        self.admission = AdmissionMode::Wave;
-        self
     }
 
     /// Serves against one shared HMC instead of ideal private
@@ -315,8 +269,8 @@ impl JobHandle {
 }
 
 /// Cloneable submission endpoint; safe to share across client threads.
-/// Prefer the fluent [`Session`] view ([`ServerHandle::session`]) —
-/// the `submit*` methods here are deprecated shims.
+/// Jobs are submitted through its fluent [`Session`] view
+/// ([`ServerHandle::session`]).
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     tx: Sender<Msg>,
@@ -331,58 +285,6 @@ impl ServerHandle {
         Session {
             handle: self.clone(),
         }
-    }
-
-    /// Submits a job with default options; returns its handle.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the server is no longer running.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `handle.session().job(label).kind(kind).submit()`"
-    )]
-    pub fn submit(&self, label: impl Into<String>, kind: JobKind) -> Result<JobHandle, SchedError> {
-        self.send_handle(label.into(), kind, JobOpts::default(), Vec::new())
-    }
-
-    /// Submits a job with explicit options; returns its handle.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the server is no longer running.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `handle.session().job(label).kind(kind).priority(p).submit()`"
-    )]
-    pub fn submit_with(
-        &self,
-        label: impl Into<String>,
-        kind: JobKind,
-        opts: JobOpts,
-    ) -> Result<JobHandle, SchedError> {
-        self.send_handle(label.into(), kind, opts, Vec::new())
-    }
-
-    /// Submits a job whose completion is delivered to `callback` on the
-    /// worker thread instead of a handle; returns the submission id.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the server is no longer running.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: \
-                `handle.session().job(label).kind(kind).submit_callback(cb)`"
-    )]
-    pub fn submit_callback(
-        &self,
-        label: impl Into<String>,
-        kind: JobKind,
-        opts: JobOpts,
-        callback: impl FnOnce(Completion) + Send + 'static,
-    ) -> Result<u64, SchedError> {
-        self.send_callback(label.into(), kind, opts, Vec::new(), callback)
     }
 
     /// Handle-reply submission primitive (the [`Session`] sink).
@@ -483,10 +385,7 @@ impl Server {
         let gauge = Arc::new(AdmissionGauge::new(config.queue_limit));
         let worker_gauge = Arc::clone(&gauge);
         let worker = std::thread::spawn(move || {
-            let report = match config.admission {
-                AdmissionMode::Continuous => continuous_loop(&rx, config, &worker_gauge),
-                AdmissionMode::Wave => wave_loop(&rx, config, &worker_gauge),
-            };
+            let report = continuous_loop(&rx, config, &worker_gauge);
             // Wake any submitter still blocked on a slot: the
             // completion that would free one is never coming.
             worker_gauge.close();
@@ -515,39 +414,6 @@ impl Server {
         self.handle.clone()
     }
 
-    /// Submits from the owning thread with default options.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the worker has exited.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `server.session().job(label).kind(kind).submit()`"
-    )]
-    pub fn submit(&self, label: impl Into<String>, kind: JobKind) -> Result<JobHandle, SchedError> {
-        self.handle
-            .send_handle(label.into(), kind, JobOpts::default(), Vec::new())
-    }
-
-    /// Submits from the owning thread with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the worker has exited.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `server.session().job(label).kind(kind).priority(p).submit()`"
-    )]
-    pub fn submit_with(
-        &self,
-        label: impl Into<String>,
-        kind: JobKind,
-        opts: JobOpts,
-    ) -> Result<JobHandle, SchedError> {
-        self.handle
-            .send_handle(label.into(), kind, opts, Vec::new())
-    }
-
     /// Stops the worker after every submission enqueued before this
     /// call has been served, and returns the aggregate serving
     /// statistics. Cloned sessions outliving the server see
@@ -572,19 +438,16 @@ impl Server {
 
 /// Delivers one completion, folds it into the running statistics, and
 /// returns the submission's admission slot to the gauge.
-#[allow(clippy::too_many_arguments)]
 fn deliver(
     stats: &mut ServingReport,
     gauge: &AdmissionGauge,
-    submitted: Instant,
-    deadline: Option<Duration>,
-    reply: Reply,
+    p: Pending,
     id: u64,
     result: Result<JobResult, SchedError>,
 ) {
     gauge.release();
-    let latency = submitted.elapsed();
-    let deadline_missed = deadline.is_some_and(|d| latency > d);
+    let latency = p.submitted.elapsed();
+    let deadline_missed = p.deadline.is_some_and(|d| latency > d);
     stats.jobs += 1;
     match &result {
         Ok(r) => match r.backend {
@@ -605,7 +468,7 @@ fn deliver(
         latency,
         deadline_missed,
     };
-    match reply {
+    match p.reply {
         // A client that dropped its handle just doesn't hear back.
         Reply::Handle(tx) => drop(tx.send(completion)),
         // One misbehaving callback must not take down the worker (and
@@ -710,15 +573,7 @@ impl ContinuousState {
                     }
                     Err(e) => Err(e),
                 };
-                deliver(
-                    &mut self.stats,
-                    gauge,
-                    p.submitted,
-                    p.deadline,
-                    p.reply,
-                    id,
-                    result,
-                );
+                deliver(&mut self.stats, gauge, p, id, result);
                 Some(id)
             }
             BackendKind::Simulate => {
@@ -735,15 +590,7 @@ impl ContinuousState {
                             self.stats.shed_jobs += 1;
                         }
                         let id = job.id;
-                        deliver(
-                            &mut self.stats,
-                            gauge,
-                            p.submitted,
-                            p.deadline,
-                            p.reply,
-                            id,
-                            Err(e),
-                        );
+                        deliver(&mut self.stats, gauge, p, id, Err(e));
                         Some(id)
                     }
                 }
@@ -774,6 +621,10 @@ impl ContinuousState {
     }
 }
 
+/// Most submissions gathered off the channel into one admission round
+/// before the worker gets back to retiring shards.
+const MAX_ADMISSION_GROUP: usize = 64;
+
 /// The continuous-admission worker: the farm never stops between jobs.
 ///
 /// Each trip around the loop (1) pulls every submission currently on
@@ -790,8 +641,7 @@ impl ContinuousState {
 /// are shed at admission when the placement estimate proves it
 /// unmeetable ([`SchedError::DeadlineUnmeetable`]), and the farm's
 /// fault counters (injected faults, retried shards) are folded into
-/// the final report. Wave mode keeps the PR 3 semantics and skips
-/// both.
+/// the final report.
 ///
 /// Dependency edges are resolved here, on the merge side: a submission
 /// carrying unfinished predecessor ids parks in a waiting list and is
@@ -837,7 +687,7 @@ fn continuous_loop(
                     Ok(Msg::Shutdown) | Err(_) => open = false,
                 }
             }
-            while open && group.len() < config.max_wave.max(1) {
+            while open && group.len() < MAX_ADMISSION_GROUP {
                 match rx.try_recv() {
                     Ok(Msg::Submit(s)) => group.push(*s),
                     Ok(Msg::Shutdown) => open = false,
@@ -846,7 +696,7 @@ fn continuous_loop(
             }
         }
         if !group.is_empty() {
-            st.stats.waves += 1;
+            st.stats.admission_rounds += 1;
         }
         // Validate and park-or-ready each submission; the ready set is
         // then admitted in priority order (ids break ties). A job that
@@ -868,15 +718,7 @@ fn continuous_loop(
             };
             if let Err(e) = job.validate() {
                 let id = job.id;
-                deliver(
-                    &mut st.stats,
-                    gauge,
-                    p.submitted,
-                    p.deadline,
-                    p.reply,
-                    id,
-                    Err(e),
-                );
+                deliver(&mut st.stats, gauge, p, id, Err(e));
                 ready.append(&mut st.finish(id));
                 continue;
             }
@@ -902,15 +744,7 @@ fn continuous_loop(
             if let Some(result) = retire.result {
                 if let Some(p) = take(&mut st.pending, result.job_id) {
                     let id = result.job_id;
-                    deliver(
-                        &mut st.stats,
-                        gauge,
-                        p.submitted,
-                        p.deadline,
-                        p.reply,
-                        id,
-                        Ok(result),
-                    );
+                    deliver(&mut st.stats, gauge, p, id, Ok(result));
                     let released = st.finish(id);
                     st.drain_ready(released, gauge);
                 }
@@ -927,9 +761,7 @@ fn continuous_loop(
         deliver(
             &mut st.stats,
             gauge,
-            w.p.submitted,
-            w.p.deadline,
-            w.p.reply,
+            w.p,
             w.job.id,
             Err(SchedError::DependencyDropped { dep }),
         );
@@ -948,148 +780,6 @@ fn continuous_loop(
     stats.worker_threads = pool.worker_threads;
     stats.pool_shards_merged = pool.shards_merged;
     stats.pool_shards_reclaimed = pool.shards_reclaimed;
-    stats.backpressure_rejected = gauge.rejected.load(Ordering::Relaxed);
-    stats.wall_seconds = t0.elapsed().as_secs_f64();
-    stats
-}
-
-/// The wave-batched worker (the PR 3 baseline, kept behind
-/// [`AdmissionMode::Wave`] as the differential reference). Honors the
-/// bounded admission queue but not deadline shedding or fault plans.
-fn wave_loop(rx: &Receiver<Msg>, config: ServerConfig, gauge: &AdmissionGauge) -> ServingReport {
-    let mut exec = ScaleOutExecutor::new(config.scale_out);
-    let mut stats = ServingReport::new(config.scale_out.clusters);
-    let t0 = Instant::now();
-    let mut done = false;
-    while !done {
-        let first = match rx.recv() {
-            Ok(Msg::Submit(s)) => *s,
-            Ok(Msg::Shutdown) | Err(_) => break,
-        };
-        // Gather a wave: everything already queued, up to the cap.
-        let mut wave = vec![first];
-        while wave.len() < config.max_wave.max(1) {
-            match rx.try_recv() {
-                Ok(Msg::Submit(s)) => wave.push(*s),
-                Ok(Msg::Shutdown) => {
-                    done = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        // Priority order; submission order breaks ties.
-        wave.sort_by_key(|s| (std::cmp::Reverse(s.opts.priority), s.id));
-        stats.waves += 1;
-
-        let mut queue = JobQueue::new();
-        let mut pending: Vec<(u64, Pending)> = Vec::with_capacity(wave.len());
-        for s in wave {
-            // Deps are recorded but not honored in wave mode (see
-            // `AdmissionMode::Wave`): waves order by priority alone.
-            let job = Job {
-                id: s.id,
-                label: s.label,
-                kind: s.kind,
-                opts: s.opts,
-                deps: s.deps,
-            };
-            let p = Pending {
-                submitted: s.submitted,
-                deadline: s.opts.deadline,
-                reply: s.reply,
-            };
-            // Reject malformed submissions before the wave runs:
-            // admitting them through run_queue would re-plan the whole
-            // remaining wave once per bad job.
-            if let Err(e) = job.validate() {
-                deliver(
-                    &mut stats,
-                    gauge,
-                    p.submitted,
-                    p.deadline,
-                    p.reply,
-                    job.id,
-                    Err(e),
-                );
-                continue;
-            }
-            queue.push_job(job);
-            pending.push((s.id, p));
-        }
-        // Run the wave; a job rejected at admission (e.g. no feasible
-        // sharding) fails alone — its completion says why — and the
-        // rest of the wave is retried without it.
-        loop {
-            if queue.is_empty() {
-                break;
-            }
-            match exec.run_queue(&mut queue) {
-                Ok(batch) => {
-                    for r in batch.results {
-                        if let Some(p) = take(&mut pending, r.job_id) {
-                            deliver(
-                                &mut stats,
-                                gauge,
-                                p.submitted,
-                                p.deadline,
-                                p.reply,
-                                r.job_id,
-                                Ok(r),
-                            );
-                        }
-                    }
-                    stats.makespan_cycles += batch.report.makespan_cycles;
-                    for p in &batch.report.per_cluster {
-                        stats.busy_cluster_cycles += p.cycles;
-                        stats.ext_wait_cycles += p.ext_wait_cycles;
-                        stats.ext_remote_bytes += p.ext_remote_bytes;
-                        stats.ext_remote_wait_cycles += p.ext_remote_wait_cycles;
-                    }
-                    break;
-                }
-                Err(SchedError::Job { id, source, .. }) => {
-                    if let Some(p) = take(&mut pending, id) {
-                        deliver(
-                            &mut stats,
-                            gauge,
-                            p.submitted,
-                            p.deadline,
-                            p.reply,
-                            id,
-                            Err(*source),
-                        );
-                    }
-                    // run_queue leaves the queue intact on admission
-                    // failure; rebuild it without the rejected job.
-                    let mut rest = JobQueue::new();
-                    while let Some(job) = queue.pop() {
-                        if job.id != id {
-                            rest.push_job(job);
-                        }
-                    }
-                    queue = rest;
-                }
-                Err(e) => {
-                    // Executor-level failure: fail the remaining wave.
-                    while let Some(job) = queue.pop() {
-                        if let Some(p) = take(&mut pending, job.id) {
-                            deliver(
-                                &mut stats,
-                                gauge,
-                                p.submitted,
-                                p.deadline,
-                                p.reply,
-                                job.id,
-                                Err(e.clone()),
-                            );
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-    }
     stats.backpressure_rejected = gauge.rejected.load(Ordering::Relaxed);
     stats.wall_seconds = t0.elapsed().as_secs_f64();
     stats
@@ -1117,8 +807,9 @@ mod tests {
         }
     }
 
-    fn serves_multiple_clients(config: ServerConfig) {
-        let server = Server::start(config);
+    #[test]
+    fn serves_multiple_clients_continuously_and_reports() {
+        let server = Server::start(ServerConfig::with_clusters(2));
         let mut handles = Vec::new();
         let mut threads = Vec::new();
         for t in 0..3u32 {
@@ -1147,16 +838,6 @@ mod tests {
         assert!(report.jobs_per_second() > 0.0);
         assert!(report.makespan_cycles > 0);
         assert!(report.occupancy() > 0.0);
-    }
-
-    #[test]
-    fn serves_multiple_clients_continuously_and_reports() {
-        serves_multiple_clients(ServerConfig::with_clusters(2));
-    }
-
-    #[test]
-    fn serves_multiple_clients_in_waves_and_reports() {
-        serves_multiple_clients(ServerConfig::with_clusters(2).wave_batched());
     }
 
     #[test]
@@ -1238,32 +919,6 @@ mod tests {
             session.job("post").kind(axpy(16, 1)).submit(),
             Err(SchedError::Shutdown)
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_shims_still_serve() {
-        let server = Server::start(ServerConfig::with_clusters(1));
-        let h = server.submit("direct", axpy(64, 3)).unwrap();
-        let hw = server
-            .submit_with(
-                "with-opts",
-                axpy(64, 5),
-                JobOpts::default().with_priority(1),
-            )
-            .unwrap();
-        let (tx, rx) = channel();
-        server
-            .handle()
-            .submit_callback("cb", axpy(64, 7), JobOpts::default(), move |c| {
-                let _ = tx.send(c.result.is_ok());
-            })
-            .unwrap();
-        assert!(h.wait().unwrap().result.is_ok());
-        assert!(hw.wait().unwrap().result.is_ok());
-        assert!(rx.recv().unwrap());
-        let report = server.shutdown();
-        assert_eq!(report.jobs, 3);
     }
 
     #[test]
@@ -1458,6 +1113,39 @@ mod tests {
     }
 
     #[test]
+    fn released_dependents_are_admitted_highest_priority_first() {
+        // Three dependents park on job 3, submitted last; its
+        // retirement releases all of them in one drain_ready call,
+        // which must admit C (priority 2), then D (1), then B (0). On
+        // one cluster shards run in admission order, so the
+        // completions come back in that order too.
+        let server = Server::start(ServerConfig::with_clusters(1));
+        let session = server.session();
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let submit = |label: &str, priority: u8, after: Option<u64>| {
+            let order = Arc::clone(&order);
+            let job = session.job(label).kind(axpy(2000, 3)).priority(priority);
+            let job = match after {
+                Some(dep) => job.after_id(dep),
+                None => job,
+            };
+            job.submit_callback(move |c| {
+                assert!(c.result.is_ok(), "{:?}", c.result);
+                order.lock().unwrap().push(c.id);
+            })
+            .unwrap()
+        };
+        let b = submit("b", 0, Some(3));
+        let c = submit("c", 2, Some(3));
+        let d = submit("d", 1, Some(3));
+        let head = submit("head", 0, None);
+        assert_eq!((b, c, d, head), (0, 1, 2, 3));
+        let report = server.shutdown();
+        assert_eq!(report.jobs, 4);
+        assert_eq!(*order.lock().unwrap(), vec![head, c, d, b]);
+    }
+
+    #[test]
     fn dag_edge_from_inline_backend_cascades_in_one_round() {
         // A predecessor served inline (estimate / native backends
         // complete during admission) releases its dependents in the
@@ -1563,10 +1251,10 @@ mod tests {
         // Continuous admission delivers each completion the shard
         // event its job retires: with several substantial jobs in the
         // farm, the first delivery happens well before the last —
-        // unlike a wave, which holds every completion until the whole
-        // batch has retired (the report-serving benchmark measures
-        // that contrast; the deterministic virtual-time overtake is
-        // asserted in the proptest suite). Exact delivery interleaving
+        // unlike a batch, which holds every completion until the whole
+        // batch has retired (report-serving gates that contrast in
+        // virtual cycles; the deterministic overtake is asserted in
+        // the proptest suite). Exact delivery interleaving
         // depends on how submissions group, so this asserts the
         // streaming property rather than a specific order.
         let server = Server::start(ServerConfig::with_clusters(4));
