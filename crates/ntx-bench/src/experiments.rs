@@ -2304,6 +2304,8 @@ pub struct CpuWorkloadPoint {
     pub fast_speedup: f64,
     /// `sim_wall_s / exact_wall_s` — still Kulisch-exact.
     pub exact_speedup: f64,
+    /// `exact_wall_s / fast_wall_s` — what bit-exactness costs.
+    pub exact_over_fast: f64,
     /// Exact-mode output bitwise equal to the simulator output.
     pub exact_bit_identical: bool,
     /// Fast-mode RMSE against the `f64` reference.
@@ -2328,7 +2330,13 @@ pub struct CpuBenchReport {
     /// Smallest fast-mode speedup over the gated workloads (conv3x3
     /// and dot-4096) — the CI throughput gate.
     pub gated_fast_speedup: f64,
+    /// `exact_over_fast` of the GEMM 48x32x24 workload — the gate on
+    /// the cost of exact GEMM.
+    pub gated_gemm_exact_over_fast: f64,
 }
+
+/// Label of the workload whose exact/fast ratio `report-cpu` gates.
+pub const CPU_GATED_GEMM: &str = "gemm 48x32x24";
 
 /// `f64` reference for one native-eligible job kind (no intermediate
 /// rounding anywhere — the accuracy oracle for fast mode).
@@ -2473,7 +2481,7 @@ pub fn cpu_report() -> CpuBenchReport {
             },
         ),
         (
-            "gemm 48x32x24".into(),
+            CPU_GATED_GEMM.into(),
             JobKind::Gemm {
                 dims: GemmKernel {
                     m: 48,
@@ -2525,6 +2533,7 @@ pub fn cpu_report() -> CpuBenchReport {
             exact_wall_s,
             fast_speedup: sim_wall_s / fast_wall_s.max(f64::MIN_POSITIVE),
             exact_speedup: sim_wall_s / exact_wall_s.max(f64::MIN_POSITIVE),
+            exact_over_fast: exact_wall_s / fast_wall_s.max(f64::MIN_POSITIVE),
             exact_bit_identical,
             fast_rmse: err.rmse,
             fast_max_abs_err: err.max_abs_err,
@@ -2536,12 +2545,17 @@ pub fn cpu_report() -> CpuBenchReport {
         .take(2)
         .map(|p| p.fast_speedup)
         .fold(f64::INFINITY, f64::min);
+    let gated_gemm_exact_over_fast = points
+        .iter()
+        .find(|p| p.workload == CPU_GATED_GEMM)
+        .map_or(f64::INFINITY, |p| p.exact_over_fast);
     CpuBenchReport {
         host_cores,
         threads,
         workloads: points,
         exact_bit_identical,
         gated_fast_speedup,
+        gated_gemm_exact_over_fast,
     }
 }
 

@@ -827,7 +827,7 @@ pub fn cpu(r: &crate::experiments::CpuBenchReport) -> String {
         r.host_cores, r.threads
     ));
     s.push_str(&format!(
-        "  {:<18} {:>8} {:>12} {:>12} {:>12} {:>9} {:>9} {:>6} {:>11}\n",
+        "  {:<18} {:>8} {:>12} {:>12} {:>12} {:>9} {:>9} {:>11} {:>6} {:>11}\n",
         "workload",
         "elems",
         "sim [ms]",
@@ -835,12 +835,13 @@ pub fn cpu(r: &crate::experiments::CpuBenchReport) -> String {
         "exact [us]",
         "fast x",
         "exact x",
+        "exact/fast",
         "bits",
         "fast rmse"
     ));
     for p in &r.workloads {
         s.push_str(&format!(
-            "  {:<18} {:>8} {:>12.3} {:>12.2} {:>12.2} {:>9.0} {:>9.0} {:>6} {:>11.3e}\n",
+            "  {:<18} {:>8} {:>12.3} {:>12.2} {:>12.2} {:>9.0} {:>9.0} {:>11.1} {:>6} {:>11.3e}\n",
             p.workload,
             p.elements,
             p.sim_wall_s * 1e3,
@@ -848,14 +849,18 @@ pub fn cpu(r: &crate::experiments::CpuBenchReport) -> String {
             p.exact_wall_s * 1e6,
             p.fast_speedup,
             p.exact_speedup,
+            p.exact_over_fast,
             if p.exact_bit_identical { "ok" } else { "FAIL" },
             p.fast_rmse
         ));
     }
     s.push_str(&format!(
-        "  exact mode bit-identical: {}   gated fast speedup (conv3x3, dot-4096): {:.0}x\n",
+        "  exact mode bit-identical: {}   gated fast speedup (conv3x3, dot-4096): {:.0}x   \
+         gated exact/fast ({}): {:.1}\n",
         if r.exact_bit_identical { "yes" } else { "NO" },
-        r.gated_fast_speedup
+        r.gated_fast_speedup,
+        crate::experiments::CPU_GATED_GEMM,
+        r.gated_gemm_exact_over_fast
     ));
     s
 }
@@ -871,6 +876,7 @@ fn cpu_point_json(p: &crate::experiments::CpuWorkloadPoint) -> String {
             "      \"exact_wall_s\": {:.9},\n",
             "      \"fast_speedup\": {:.2},\n",
             "      \"exact_speedup\": {:.2},\n",
+            "      \"exact_over_fast\": {:.2},\n",
             "      \"exact_bit_identical\": {},\n",
             "      \"fast_rmse\": {:e},\n",
             "      \"fast_max_abs_err\": {:e}\n",
@@ -883,6 +889,7 @@ fn cpu_point_json(p: &crate::experiments::CpuWorkloadPoint) -> String {
         p.exact_wall_s,
         p.fast_speedup,
         p.exact_speedup,
+        p.exact_over_fast,
         p.exact_bit_identical,
         p.fast_rmse,
         p.fast_max_abs_err
@@ -900,14 +907,16 @@ pub fn cpu_json(r: &crate::experiments::CpuBenchReport) -> String {
             "  \"threads\": {},\n",
             "  \"workloads\": [\n{}\n  ],\n",
             "  \"exact_bit_identical\": {},\n",
-            "  \"gated_fast_speedup\": {:.2}\n",
+            "  \"gated_fast_speedup\": {:.2},\n",
+            "  \"gated_gemm_exact_over_fast\": {:.2}\n",
             "}}\n"
         ),
         r.host_cores,
         r.threads,
         workloads.join(",\n"),
         r.exact_bit_identical,
-        r.gated_fast_speedup
+        r.gated_fast_speedup,
+        r.gated_gemm_exact_over_fast
     )
 }
 

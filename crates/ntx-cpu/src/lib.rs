@@ -11,10 +11,15 @@
 //!   the FP-add latency chain, tree-combined at the end). Results
 //!   carry ordinary float rounding error; measure it with
 //!   [`ntx_fpu::rmse`].
-//! * [`NativeMode::Exact`] — every reduction goes through the wide
-//!   Kulisch [`ntx_fpu::WideAccumulator`] with exactly one rounding
-//!   per architecturally-visible store, replicating the NTX datapath's
-//!   per-element semantics. Outputs are bit-identical to the
+//! * [`NativeMode::Exact`] — every reduction is exact, with exactly
+//!   one rounding per architecturally-visible store, replicating the
+//!   NTX datapath's per-element semantics. GEMM dot products whose
+//!   operands fit a shared-exponent integer window are summed as
+//!   `i128` integers and rounded once (see [`reduce`]); every other
+//!   reduction, and every GEMM output whose row or column holds an
+//!   infinity, a NaN or too wide an exponent spread, goes product by
+//!   product through the wide Kulisch [`ntx_fpu::WideAccumulator`].
+//!   Both give the same bits, and outputs are bit-identical to the
 //!   cycle-accurate simulator on every job kind.
 //!
 //! Work is sharded over contiguous output-row bands across scoped
@@ -40,9 +45,10 @@ use ntx_kernels::conv::Conv2dKernel;
 /// `ntx_kernels::schedule::laplace2d_tiles`.
 const STENCIL_COEFFS: [f32; 3] = [1.0, -2.0, 1.0];
 
-/// Minimum output elements before shard-parallel execution pays for
-/// thread spawn overhead; smaller jobs run on the calling thread.
-const PAR_MIN_ELEMS: usize = 8192;
+/// Minimum work — output elements times products per output — before
+/// shard-parallel execution pays for thread spawn overhead; smaller
+/// jobs run on the calling thread.
+const PAR_MIN_WORK: usize = 1 << 17;
 
 /// Accumulation discipline for the native kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +56,7 @@ pub enum NativeMode {
     /// Multi-accumulator partial sums, tree-combined: fastest, with
     /// ordinary float rounding error.
     Fast,
-    /// Wide Kulisch accumulation, one rounding per stored element:
+    /// Exact accumulation, one rounding per stored element:
     /// bit-identical to the cycle-accurate simulator.
     Exact,
 }
@@ -119,7 +125,7 @@ impl NativeBackend {
         assert_eq!(x.len(), y.len(), "axpy operands must have equal lengths");
         let mut out = vec![0.0f32; x.len()];
         let exact = self.mode == NativeMode::Exact;
-        self.banded(&mut out, 1, &|offset, band: &mut [f32]| {
+        self.banded(&mut out, 1, 1, &|offset, band: &mut [f32]| {
             if exact {
                 let mut acc = WideAccumulator::new();
                 for (i, o) in band.iter_mut().enumerate() {
@@ -142,8 +148,10 @@ impl NativeBackend {
     /// Row-major GEMM: `C[i][j] = Σ_l A[i][l] * B[l][j]`, `C` is
     /// `m × n`.
     ///
-    /// Exact mode reduces every dot product through the Kulisch
-    /// accumulator (zero-initialized, one rounding per `C` element).
+    /// Exact mode computes every dot product exactly and rounds it once
+    /// per `C` element, as a zero-initialized Kulisch accumulation
+    /// would; row/column pairs on a shared integer window take one
+    /// `i128` sum instead of a wide add per product (see [`reduce`]).
     /// Fast mode uses the classic `ikj` loop when `n` is wide enough —
     /// each output element then owns an independent accumulator, the
     /// matrix form of the multi-lane trick — and falls back to
@@ -159,17 +167,9 @@ impl NativeBackend {
         assert_eq!(b.len(), k * n, "gemm B must be k*n elements");
         let mut out = vec![0.0f32; m * n];
         let exact = self.mode == NativeMode::Exact;
-        self.banded(&mut out, n.max(1), &|offset, band: &mut [f32]| {
+        self.banded(&mut out, n.max(1), k, &|offset, band: &mut [f32]| {
             if exact {
-                let mut acc = WideAccumulator::new();
-                for (i, o) in band.iter_mut().enumerate() {
-                    let (row, col) = ((offset + i) / n, (offset + i) % n);
-                    acc.clear();
-                    for l in 0..k {
-                        acc.add_product(a[row * k + l], b[l * n + col]);
-                    }
-                    *o = acc.round();
-                }
+                reduce::gemm_exact_rows(a, b, k, n, offset / n, band);
             } else if n >= reduce::LANES {
                 // ikj: the inner loop strides unit over a row of B and
                 // a row of C, giving n independent accumulators.
@@ -221,7 +221,7 @@ impl NativeBackend {
         let (oh, ow) = (kernel.out_height() as usize, kernel.out_width() as usize);
         let mut out = vec![0.0f32; f * oh * ow];
         let exact = self.mode == NativeMode::Exact;
-        self.banded(&mut out, ow.max(1), &|offset, band: &mut [f32]| {
+        self.banded(&mut out, ow.max(1), k * k, &|offset, band: &mut [f32]| {
             let mut acc = WideAccumulator::new();
             for (r, row_out) in band.chunks_exact_mut(ow).enumerate() {
                 let row = offset / ow + r;
@@ -279,7 +279,7 @@ impl NativeBackend {
         let mut out = vec![0.0f32; oh * ow];
         let c = STENCIL_COEFFS;
         let exact = self.mode == NativeMode::Exact;
-        self.banded(&mut out, ow, &|offset, band: &mut [f32]| {
+        self.banded(&mut out, ow, 2 * c.len(), &|offset, band: &mut [f32]| {
             let mut acc = WideAccumulator::new();
             for (r, row_out) in band.chunks_exact_mut(ow).enumerate() {
                 let y = offset / ow + r;
@@ -313,25 +313,41 @@ impl NativeBackend {
         out
     }
 
+    /// Number of bands [`banded`](Self::banded) splits `outputs`
+    /// elements in `rows` rows into when each output costs `per_output`
+    /// products: one per thread, at most one per row, and a single
+    /// band for jobs under [`PAR_MIN_WORK`].
+    fn bands(&self, rows: usize, outputs: usize, per_output: usize) -> usize {
+        if outputs.saturating_mul(per_output.max(1)) < PAR_MIN_WORK {
+            1
+        } else {
+            self.threads.min(rows.max(1))
+        }
+    }
+
     /// Runs `work` over `out` split into contiguous bands of whole
-    /// `granule`-element rows, one scoped thread per band. `work`
-    /// receives the band's starting element offset. Reductions never
-    /// cross rows, so banding cannot change any output bit.
-    fn banded<F>(&self, out: &mut [f32], granule: usize, work: &F)
+    /// `granule`-element rows, one thread per band; each output
+    /// costs `per_output` products. `work` receives the band's starting
+    /// element offset. Reductions never cross rows, so banding cannot
+    /// change any output bit.
+    fn banded<F>(&self, out: &mut [f32], granule: usize, per_output: usize, work: &F)
     where
         F: Fn(usize, &mut [f32]) + Sync,
     {
         let rows = out.len() / granule.max(1);
-        let bands = self.threads.min(rows.max(1));
-        if bands <= 1 || out.len() < PAR_MIN_ELEMS {
+        let bands = self.bands(rows, out.len(), per_output);
+        if bands <= 1 {
             work(0, out);
             return;
         }
         std::thread::scope(|s| {
-            let mut rest = out;
-            let mut row0 = 0usize;
-            for b in 0..bands {
-                // Spread the remainder rows over the leading bands.
+            // Spread the remainder rows over the leading bands. The
+            // calling thread works the first band itself, so a job
+            // spawns one thread fewer than it has bands.
+            let first = rows.div_ceil(bands) * granule;
+            let (own, mut rest) = out.split_at_mut(first);
+            let mut row0 = first / granule;
+            for b in 1..bands {
                 let rows_here = rows / bands + usize::from(b < rows % bands);
                 let (band, tail) = rest.split_at_mut(rows_here * granule);
                 rest = tail;
@@ -339,6 +355,7 @@ impl NativeBackend {
                 row0 += rows_here;
                 s.spawn(move || work(offset, band));
             }
+            work(0, own);
             // Trailing partial row (only when granule doesn't divide
             // the output, which no kernel above produces).
             if !rest.is_empty() {
@@ -394,9 +411,11 @@ mod tests {
         let out = NativeBackend::exact().gemm(&dims, &a, &b);
         for i in 0..5 {
             for j in 0..4 {
-                let col: Vec<f32> = (0..37).map(|l| b[l * 4 + j]).collect();
-                let want = reduce::dot_exact(&a[i * 37..(i + 1) * 37], &col);
-                assert_eq!(out[i * 4 + j].to_bits(), want.to_bits());
+                let mut acc = WideAccumulator::new();
+                for l in 0..37 {
+                    acc.add_product(a[i * 37 + l], b[l * 4 + j]);
+                }
+                assert_eq!(out[i * 4 + j].to_bits(), acc.round().to_bits());
             }
         }
     }
@@ -429,8 +448,22 @@ mod tests {
     }
 
     #[test]
+    fn parallel_gate_counts_work_not_outputs() {
+        let be = NativeBackend::exact().with_threads(2);
+        // fc8 fwd of the scaled AlexNet step: 1024 outputs, k = 576.
+        assert_eq!(be.bands(256, 256 * 4, 576), 2);
+        // The same outputs with a 4-long reduction stay on one thread.
+        assert_eq!(be.bands(256, 256 * 4, 4), 1);
+        // Never more bands than rows.
+        assert_eq!(
+            NativeBackend::fast().with_threads(8).bands(3, 3, 1 << 20),
+            3
+        );
+    }
+
+    #[test]
     fn banding_is_bit_identical_across_thread_counts() {
-        // Large enough to clear PAR_MIN_ELEMS so threading engages.
+        // Every job clears PAR_MIN_WORK so threading engages.
         let dims = GemmKernel {
             m: 96,
             k: 40,
@@ -438,6 +471,13 @@ mod tests {
         };
         let a = data(96 * 40, 8);
         let b = data(40 * 96, 9);
+        // High reduction length, few outputs.
+        let deep = GemmKernel {
+            m: 8,
+            k: 8192,
+            n: 4,
+        };
+        let (da, db) = (data(8 * 8192, 15), data(8192 * 4, 16));
         let img = data(100 * 100, 10);
         let wgt = data(9 * 2, 11);
         let conv = Conv2dKernel {
@@ -446,8 +486,8 @@ mod tests {
             k: 3,
             filters: 2,
         };
-        let grid = data(110 * 100, 12);
-        let (x, y) = (data(10_000, 13), data(10_000, 14));
+        let grid = data(160 * 150, 12);
+        let (x, y) = (data(1 << 17, 13), data(1 << 17, 14));
         for mode in [NativeMode::Fast, NativeMode::Exact] {
             let serial = NativeBackend::new(mode);
             let pooled = NativeBackend::new(mode).with_threads(4);
@@ -457,13 +497,18 @@ mod tests {
                 "gemm",
             );
             assert_bits_eq(
+                &serial.gemm(&deep, &da, &db),
+                &pooled.gemm(&deep, &da, &db),
+                "deep gemm",
+            );
+            assert_bits_eq(
                 &serial.conv2d(&conv, &img, &wgt),
                 &pooled.conv2d(&conv, &img, &wgt),
                 "conv2d",
             );
             assert_bits_eq(
-                &serial.stencil2d(110, 100, &grid),
-                &pooled.stencil2d(110, 100, &grid),
+                &serial.stencil2d(160, 150, &grid),
+                &pooled.stencil2d(160, 150, &grid),
                 "stencil2d",
             );
             assert_bits_eq(&serial.axpy(1.5, &x, &y), &pooled.axpy(1.5, &x, &y), "axpy");

@@ -7,11 +7,21 @@
 //! [`LANES`] independent partial sums lets the core retire one FMA per
 //! issue slot (and lets the autovectorizer map the lane array onto a
 //! SIMD register), then a log-depth tree combines the lanes at the
-//! end. The result is *not* bit-identical to a sequential sum — the
-//! exact path goes through [`ntx_fpu::WideAccumulator`] instead, which
-//! is associativity-free by construction.
+//! end. The result is *not* bit-identical to a sequential sum.
+//!
+//! The exact path computes the one correctly rounded value of the
+//! whole sum, the same bits [`ntx_fpu::WideAccumulator`] stores. It
+//! follows the NTX datapath's idea of a fixed-point window only as
+//! wide as the operands need (§II-C) and the shared-exponent integer
+//! reduction of microscaling datapaths (Cuyckens et al., 2025): each
+//! operand vector is scaled once onto an integer grid anchored at its
+//! smallest exponent, a dot product of two such vectors is an `i128`
+//! integer sum, and that sum is rounded once. Vectors whose grid does
+//! not fit (infinities, NaNs, exponent spreads beyond 39 bits, or sums
+//! that could overflow `i128`) take the per-product Kulisch loop
+//! instead, output by output.
 
-use ntx_fpu::WideAccumulator;
+use ntx_fpu::{compose, WideAccumulator};
 
 /// Number of independent partial-sum accumulators in the fast path.
 ///
@@ -51,20 +61,162 @@ pub fn dot_fast(x: &[f32], y: &[f32]) -> f32 {
     tree_combine(acc)
 }
 
-/// Exact dot product: every product lands in the wide Kulisch
-/// accumulator and is rounded to `f32` exactly once, independent of
-/// accumulation order.
+/// Exact dot product: the exact sum of all products, rounded to `f32`
+/// once (round-to-nearest-even), independent of accumulation order.
+/// Bit-identical to accumulating every product in a
+/// [`WideAccumulator`] and rounding it.
 ///
 /// # Panics
 /// Panics if `x` and `y` have different lengths.
 #[must_use]
 pub fn dot_exact(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot operands must have equal lengths");
-    let mut acc = WideAccumulator::new();
-    for (&a, &b) in x.iter().zip(y) {
-        acc.add_product(a, b);
+    // A 1×k by k×1 GEMM.
+    let mut out = [0.0f32];
+    gemm_exact_rows(x, y, x.len(), 1, 0, &mut out);
+    out[0]
+}
+
+/// Largest exponent spread, in bits, of a vector [`scale`] accepts: a
+/// 24-bit significand shifted up by at most 39 bits still fits `i64`.
+const MAX_SPREAD: u32 = 39;
+
+/// Scaled B elements one exact-GEMM panel holds (256 KiB of `i64`):
+/// as many whole columns as fit, at least one.
+const PANEL_ELEMS: usize = 1 << 15;
+
+/// The integer grid of one scaled vector: element `i` equals
+/// `scaled[i] · 2^lsb_exp` exactly.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    /// Weight of the grid's unit: the smallest exponent (LSB weight of
+    /// the significand) among the vector's nonzero elements, or 0 if
+    /// it has none.
+    lsb_exp: i32,
+    /// Bit length of the largest scaled magnitude.
+    bits: u32,
+}
+
+/// Scales `xs` onto its own integer grid, writing `±m·2^(e−e_min)`
+/// for each element into `out` (zeros, either sign, become 0).
+///
+/// Returns `None`, leaving `out` unspecified, when `xs` holds an
+/// infinity or NaN or its nonzero exponents spread over more than
+/// [`MAX_SPREAD`] bits.
+fn scale(xs: &[f32], out: &mut [i64]) -> Option<Grid> {
+    // Both passes are branch-free over the raw bits. A subnormal's
+    // significand LSB weighs 2^-149, as does a biased exponent of 1;
+    // infinities and NaNs carry biased exponent 255.
+    let (mut lo, mut hi) = (u32::MAX, 0u32);
+    for &x in xs {
+        let bits = x.to_bits();
+        let e = ((bits >> 23) & 0xff).max(1);
+        let nonzero = bits << 1 != 0;
+        lo = lo.min(if nonzero { e } else { u32::MAX });
+        hi = hi.max(if nonzero { e } else { 0 });
     }
-    acc.round()
+    if hi == 0xff || hi.saturating_sub(lo) > MAX_SPREAD {
+        return None;
+    }
+    let mut ored = 0u64;
+    for (o, &x) in out.iter_mut().zip(xs) {
+        let bits = x.to_bits();
+        let biased = (bits >> 23) & 0xff;
+        let mantissa = (bits & 0x7f_ffff) | u32::from(biased != 0) << 23;
+        // Zeros clamp their shift to 0 (their mantissa is 0 anyway).
+        let mag = u64::from(mantissa) << (biased.max(1).max(lo) - lo);
+        ored |= mag;
+        let neg = -i64::from(bits >> 31);
+        *o = (mag as i64 ^ neg) - neg;
+    }
+    Some(Grid {
+        lsb_exp: if hi == 0 { 0 } else { lo as i32 - 150 },
+        bits: u64::BITS - ored.leading_zeros(),
+    })
+}
+
+/// Exact dot product of two equally long scaled vectors, rounded once
+/// to `f32`, or `None` if the sum could overflow `i128` (when
+/// `bits_x + bits_y + ⌈log2 len⌉ + 1 > 127`). An exact zero sum gives
+/// `+0.0`, as the Kulisch accumulator does.
+fn grid_dot(x: &[i64], gx: Grid, y: &[i64], gy: Grid) -> Option<f32> {
+    debug_assert_eq!(x.len(), y.len());
+    let log_len = usize::BITS - x.len().saturating_sub(1).leading_zeros();
+    if gx.bits + gy.bits + log_len + 1 > 127 {
+        return None;
+    }
+    let acc: i128 = x
+        .iter()
+        .zip(y)
+        .map(|(&a, &b)| i128::from(a) * i128::from(b))
+        .sum();
+    Some(compose(
+        acc < 0,
+        acc.unsigned_abs(),
+        gx.lsb_exp + gy.lsb_exp,
+        false,
+    ))
+}
+
+/// Exact row-major GEMM over whole output rows: fills `out` (rows
+/// `row0..row0 + out.len() / n` of `C = A·B`, where A has `k` columns
+/// and B is `k × n`) with one correctly rounded dot product per
+/// element.
+///
+/// B is scaled in panels of whole columns of at most [`PANEL_ELEMS`]
+/// elements (or one column), and each A row once per panel into one
+/// reusable buffer, so scratch memory does not grow with the number of
+/// rows. An output whose row or column has no [`Grid`], or whose sum
+/// could overflow `i128`, runs the per-product Kulisch loop instead.
+///
+/// # Panics
+/// Panics if `a`, `b` or `out` are too short for the shape.
+pub(crate) fn gemm_exact_rows(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    out: &mut [f32],
+) {
+    if out.is_empty() {
+        return;
+    }
+    let rows = out.len() / n;
+    let panel_cols = (PANEL_ELEMS / k.max(1)).clamp(1, n);
+    let mut panel = vec![0i64; panel_cols * k];
+    let mut grids = vec![None; panel_cols];
+    let mut col = vec![0f32; k];
+    let mut arow = vec![0i64; k];
+    let mut acc = WideAccumulator::new();
+    for c0 in (0..n).step_by(panel_cols) {
+        let cols = panel_cols.min(n - c0);
+        let slots = grids.iter_mut().zip(panel.chunks_mut(k.max(1)));
+        for (j, (grid, scaled)) in slots.take(cols).enumerate() {
+            for (l, slot) in col.iter_mut().enumerate() {
+                *slot = b[l * n + c0 + j];
+            }
+            *grid = scale(&col, scaled);
+        }
+        for r in 0..rows {
+            let ar = &a[(row0 + r) * k..(row0 + r + 1) * k];
+            let ga = scale(ar, &mut arow);
+            let out_row = &mut out[r * n + c0..r * n + c0 + cols];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let fast = match (ga, grids[j]) {
+                    (Some(ga), Some(gb)) => grid_dot(&arow, ga, &panel[j * k..(j + 1) * k], gb),
+                    _ => None,
+                };
+                *o = fast.unwrap_or_else(|| {
+                    acc.clear();
+                    for (l, &al) in ar.iter().enumerate() {
+                        acc.add_product(al, b[l * n + c0 + j]);
+                    }
+                    acc.round()
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +265,37 @@ mod tests {
             dot_exact(&rx, &ry).to_bits(),
             "Kulisch reduction must be order-independent"
         );
+    }
+
+    #[test]
+    fn exact_dot_matches_wide_accumulator() {
+        let kulisch = |x: &[f32], y: &[f32]| {
+            let mut acc = WideAccumulator::new();
+            for (&a, &b) in x.iter().zip(y) {
+                acc.add_product(a, b);
+            }
+            acc.round()
+        };
+        let tiny = f32::from_bits(1);
+        let cases: [(&[f32], &[f32]); 7] = [
+            (&[], &[]),
+            (&[-0.0, 0.0], &[1.0, -1.0]),
+            (&[1.0, -1.0, 3.0e-7], &[0.1, 0.1, 0.1]),
+            (&[tiny, -tiny, tiny], &[0.75, 0.25, 0.5]),
+            // 2^40 apart: no shared grid, the Kulisch loop answers.
+            (&[1.0, 9.094_947e-13], &[1.0, 1.0]),
+            (&[f32::MAX, f32::MAX], &[2.0, -1.0]),
+            (&[f32::INFINITY, 1.0], &[0.0, 1.0]),
+        ];
+        for (x, y) in cases {
+            assert_eq!(
+                dot_exact(x, y).to_bits(),
+                kulisch(x, y).to_bits(),
+                "{x:?} . {y:?}"
+            );
+        }
+        let (x, y) = (data(4096, 0x55), data(4096, 0x66));
+        assert_eq!(dot_exact(&x, &y).to_bits(), kulisch(&x, &y).to_bits());
     }
 
     #[test]

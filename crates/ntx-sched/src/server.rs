@@ -503,6 +503,36 @@ struct Waiting {
     missing: Vec<u64>,
 }
 
+/// The set of job ids whose completion has been delivered.
+///
+/// Ids are handed out densely from 0 and every one reaches the worker,
+/// so the set is held as a floor — every id below it is done — plus the
+/// done ids at or above it. Memory follows the ids finished out of
+/// order, not the number of jobs the server has ever run.
+#[derive(Debug, Default)]
+struct DoneIds {
+    floor: u64,
+    above: std::collections::HashSet<u64>,
+}
+
+impl DoneIds {
+    fn contains(&self, id: u64) -> bool {
+        id < self.floor || self.above.contains(&id)
+    }
+
+    /// Adds `id`; false if it was already done.
+    fn insert(&mut self, id: u64) -> bool {
+        if self.contains(id) {
+            return false;
+        }
+        self.above.insert(id);
+        while self.above.remove(&self.floor) {
+            self.floor += 1;
+        }
+        true
+    }
+}
+
 /// The continuous worker's farm-side state, grouped so dependency
 /// release can re-enter admission from any point in the loop (a retire
 /// event, or a predecessor that completed during its own admission).
@@ -518,7 +548,7 @@ struct ContinuousState {
     /// Ids whose completion has been delivered (any outcome). The
     /// release gate of the dependency graph: an edge into this set is
     /// satisfied.
-    done: std::collections::HashSet<u64>,
+    done: DoneIds,
     /// Jobs parked on unfinished predecessors.
     waiting: Vec<Waiting>,
 }
@@ -667,7 +697,7 @@ fn continuous_loop(
         table: DurationTable::new(),
         stats: ServingReport::new(config.scale_out.clusters),
         pending: Vec::new(),
-        done: std::collections::HashSet::new(),
+        done: DoneIds::default(),
         waiting: Vec::new(),
     };
     let mut group: Vec<Submission> = Vec::new();
@@ -726,7 +756,7 @@ fn continuous_loop(
                 .deps
                 .iter()
                 .copied()
-                .filter(|d| !st.done.contains(d))
+                .filter(|&d| !st.done.contains(d))
                 .collect();
             if missing.is_empty() {
                 ready.push((job, p));
@@ -805,6 +835,19 @@ mod tests {
             x: data(seed),
             y: data(seed.wrapping_add(1)),
         }
+    }
+
+    #[test]
+    fn done_ids_fold_finished_prefix_into_floor() {
+        let mut done = DoneIds::default();
+        assert!(done.insert(2));
+        assert!(done.insert(0));
+        assert!(!done.contains(1) && done.contains(2) && !done.contains(99));
+        assert!(done.insert(1));
+        assert_eq!((done.floor, done.above.len()), (3, 0));
+        assert!(!done.insert(1) && !done.insert(2));
+        assert!(done.insert(99));
+        assert!(done.contains(99) && !done.contains(3));
     }
 
     #[test]
