@@ -45,7 +45,7 @@ fn main() {
                 continue;
             }
         };
-        match diff::compare(&baseline, &fresh, diff::TOLERANCE) {
+        match diff::compare(&baseline, &fresh) {
             Ok(out) => {
                 println!(
                     "  {name:<22} {:>3} cycle metrics, {:>3} flags, worst drift {:+.1}%  {}",

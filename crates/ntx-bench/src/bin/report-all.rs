@@ -1,4 +1,9 @@
-//! Prints every reproduced table and figure in paper order.
+//! Prints every reproduced table and figure in paper order, checks the
+//! gates of the gated reports among them, and exits 1 if one failed.
+//! It writes no `BENCH_*.json` artifacts; the per-report binaries do.
+
+use ntx_bench::gate;
+
 fn main() {
     let t1 = ntx_bench::table1_report();
     println!("{}", ntx_bench::format::table1(&t1));
@@ -36,11 +41,20 @@ fn main() {
         "{}",
         ntx_bench::format::greenwave(&ntx_bench::greenwave_rows())
     );
-    println!(
-        "{}",
-        ntx_bench::format::scaling(&ntx_bench::scaling_report())
-    );
-    print!("{}", ntx_bench::format::hmc(&ntx_bench::hmc_report()));
-    print!("{}", ntx_bench::format::mesh(&ntx_bench::mesh_report()));
-    print!("{}", ntx_bench::format::chaos(&ntx_bench::chaos_report()));
+    let scaling = ntx_bench::scaling_report();
+    print!("{}", ntx_bench::format::scaling(&scaling));
+    let mut passed = gate::check(&gate::scaling_gates(&scaling), None);
+    println!();
+    let hmc = ntx_bench::hmc_report();
+    print!("{}", ntx_bench::format::hmc(&hmc));
+    passed &= gate::check(&gate::hmc_gates(&hmc), None);
+    let mesh = ntx_bench::mesh_report();
+    print!("{}", ntx_bench::format::mesh(&mesh));
+    passed &= gate::check(&gate::mesh_gates(&mesh), None);
+    let chaos = ntx_bench::chaos_report();
+    print!("{}", ntx_bench::format::chaos(&chaos));
+    passed &= gate::check(&gate::chaos_gates(&chaos), None);
+    if !passed {
+        std::process::exit(1);
+    }
 }

@@ -5,57 +5,10 @@
 //! split-K streaming schedule against its resident oracle, and records
 //! the measurement as `BENCH_dnn.json`.
 
+use ntx_bench::gate;
+
 fn main() {
     let r = ntx_bench::dnn_report();
     print!("{}", ntx_bench::format::dnn(&r));
-    let json = ntx_bench::format::dnn_json(&r);
-    let path = "BENCH_dnn.json";
-    std::fs::write(path, &json).expect("write BENCH_dnn.json");
-    println!("  wrote {path}");
-    let mut failed = false;
-    // Every run must complete the whole DAG, admit every op, and never
-    // start an op before all its predecessors retired.
-    for run in &r.runs {
-        if run.jobs != r.ops as u64 || run.failed != 0 {
-            eprintln!(
-                "ERROR: {} completed {}/{} ops with {} failures",
-                run.backend, run.jobs, r.ops, run.failed
-            );
-            failed = true;
-        }
-        if !run.order_topological {
-            eprintln!(
-                "ERROR: {} completed an op before one of its dependencies",
-                run.backend
-            );
-            failed = true;
-        }
-    }
-    // The Kulisch cross-backend gate: simulator and native-exact must
-    // agree bit for bit on every op of the step, unconditionally.
-    if !r.sim_native_bit_identical {
-        eprintln!("ERROR: simulator and native-exact training-step outputs diverged bitwise");
-        failed = true;
-    }
-    // Placement is wall-clock dependent, outputs must not be: two
-    // simulator runs of the same DAG have to agree bit for bit.
-    if !r.sim_deterministic {
-        eprintln!("ERROR: two simulator runs of the same training step diverged bitwise");
-        failed = true;
-    }
-    // Split-K tiling gates: the multi-pass streaming schedule chains
-    // the full wide-accumulator image, so both the forced split on a
-    // TCDM-fitting GEMM and the deep-K GEMM that *requires* the split
-    // must be bit-identical to their single-pass oracles.
-    if !r.split_oracle_bit_identical {
-        eprintln!("ERROR: forced split-K schedule diverged from the resident oracle bitwise");
-        failed = true;
-    }
-    if !r.deep_split_bit_identical {
-        eprintln!("ERROR: deep GEMM (k=6000) split-K run diverged from native exact bitwise");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    gate::conclude("BENCH_dnn.json", &r, &gate::dnn_gates(&r));
 }

@@ -9,93 +9,10 @@
 //! bit-identical to serial, ≥ 1.7x jobs/s at 4 threads on a ≥ 4-core
 //! host) — and records the measurement as `BENCH_serving.json`.
 
+use ntx_bench::gate;
+
 fn main() {
     let r = ntx_bench::serving_report();
     print!("{}", ntx_bench::format::serving(&r));
-    let json = ntx_bench::format::serving_json(&r);
-    let path = "BENCH_serving.json";
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
-    println!("  wrote {path}");
-    if !r.bit_identical || !r.snapshots_identical {
-        eprintln!("ERROR: pipelined farm diverged from the barriered or full-width reference");
-        std::process::exit(1);
-    }
-    if !r.continuous_bit_identical {
-        eprintln!("ERROR: continuous admission diverged from the barriered same-placement oracle");
-        std::process::exit(1);
-    }
-    // The overlap win on this heterogeneous queue is well above the
-    // floor; 1.05x guards against a regression to barriered behaviour
-    // without flaking on workload tweaks. The independently-executed
-    // full-width baseline must be beaten too.
-    if r.pipelined_speedup < 1.05 || r.fullwidth_speedup < 1.0 {
-        eprintln!(
-            "ERROR: pipelined speedup {:.3}x (vs barriered) / {:.3}x (vs full-width) \
-             below the 1.05x / 1.0x floors",
-            r.pipelined_speedup, r.fullwidth_speedup
-        );
-        std::process::exit(1);
-    }
-    if r.estimate_sim_cycles != 0 {
-        eprintln!(
-            "ERROR: analytical backend spent {} simulator cycles",
-            r.estimate_sim_cycles
-        );
-        std::process::exit(1);
-    }
-    if r.continuous.served_jobs != r.jobs as u64 || r.continuous.deadline_misses != 0 {
-        eprintln!("ERROR: server dropped jobs or missed generous deadlines");
-        std::process::exit(1);
-    }
-    // Continuous admission delivers each completion the cycle its last
-    // shard retires; a batch delivers every completion at its
-    // makespan. In virtual time the mean job must therefore finish
-    // before the batch pipelined makespan.
-    if r.continuous_mean_finish_cycles >= r.pipelined_makespan_cycles as f64 {
-        eprintln!(
-            "ERROR: continuous mean job finish {:.1} cycles is not ahead of the \
-             batch pipelined makespan {}",
-            r.continuous_mean_finish_cycles, r.pipelined_makespan_cycles
-        );
-        std::process::exit(1);
-    }
-    // Throughput gate, in simulated farm time: graded placement may
-    // trade a few percent of batch makespan for per-job latency,
-    // capped at 10% drift versus the batch pipelined makespan.
-    if r.continuous_makespan_cycles as f64 > 1.10 * r.pipelined_makespan_cycles as f64 {
-        eprintln!(
-            "ERROR: continuous farm makespan {} drifted more than 10% past the \
-             batch pipelined makespan {}",
-            r.continuous_makespan_cycles, r.pipelined_makespan_cycles
-        );
-        std::process::exit(1);
-    }
-    // The worker pool must be a pure implementation detail: outputs,
-    // retire traces and makespans bit-identical to the serial farm at
-    // every thread count, unconditionally.
-    if !r.pool_bit_identical {
-        eprintln!("ERROR: pooled farm diverged from the serial farm");
-        std::process::exit(1);
-    }
-    // The wall-clock core-scaling gate (the PR 7-demoted throughput
-    // gate, re-promoted for the pooled farm): 4 pool threads must buy
-    // at least 1.7x jobs/s over 1 thread. Only enforceable when the
-    // host actually has 4 cores to scale onto; on narrower runners the
-    // measurement is printed but cannot gate.
-    if r.host_cores >= 4 {
-        if r.pool_speedup_4x < 1.7 {
-            eprintln!(
-                "ERROR: worker pool at 4 threads measured {:.3}x jobs/s vs 1 thread \
-                 on a {}-core host (need >= 1.7x)",
-                r.pool_speedup_4x, r.host_cores
-            );
-            std::process::exit(1);
-        }
-    } else {
-        println!(
-            "  note: {}-core host cannot scale a 4-thread pool; speedup {:.3}x is \
-             informational (gate needs >= 4 cores)",
-            r.host_cores, r.pool_speedup_4x
-        );
-    }
+    gate::conclude("BENCH_serving.json", &r, &gate::serving_gates(&r));
 }

@@ -12,226 +12,14 @@
 //! flip to `false`. Everything wall-clock — `*_wall_s`, `*_speedup`,
 //! latency seconds — varies with the host and stays informational.
 //!
-//! The parser is a minimal recursive-descent JSON reader (the repo
-//! builds offline; no serde), sufficient for the machine-generated
-//! output of `format::*_json`.
+//! Both documents go through [`crate::json::parse`], the reader for
+//! what [`crate::json::write`] prints.
+
+use crate::json::{flatten, parse, Json};
 
 /// Fractional growth a gated cycle-domain metric may show over its
 /// baseline before `bench-diff` fails (0.15 = +15 %).
 pub const TOLERANCE: f64 = 0.15;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|&c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    // The report formatters never emit escapes beyond
-                    // these; \u is out of scope for this reader.
-                    let esc = self.bytes.get(self.pos + 1);
-                    s.push(match esc {
-                        Some(b'n') => '\n',
-                        Some(b't') => '\t',
-                        Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    });
-                    self.pos += 2;
-                }
-                Some(&c) => {
-                    s.push(c as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-/// Parses one JSON document.
-///
-/// # Errors
-///
-/// A human-readable message with the byte offset of the first syntax
-/// error.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-/// Flattens a document to `("runs[0].makespan_cycles", value)` pairs,
-/// scalars only.
-#[must_use]
-pub fn flatten(v: &Json) -> Vec<(String, Json)> {
-    fn walk(prefix: &str, v: &Json, out: &mut Vec<(String, Json)>) {
-        match v {
-            Json::Obj(fields) => {
-                for (k, v) in fields {
-                    let path = if prefix.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{prefix}.{k}")
-                    };
-                    walk(&path, v, out);
-                }
-            }
-            Json::Arr(items) => {
-                for (i, v) in items.iter().enumerate() {
-                    walk(&format!("{prefix}[{i}]"), v, out);
-                }
-            }
-            scalar => out.push((prefix.to_string(), scalar.clone())),
-        }
-    }
-    let mut out = Vec::new();
-    walk("", v, &mut out);
-    out
-}
 
 /// Whether a flattened path is a gated cycle-domain number.
 fn is_cycle_metric(path: &str) -> bool {
@@ -266,7 +54,7 @@ pub struct DiffOutcome {
 /// Compares a fresh report against its committed baseline.
 ///
 /// Gated: numeric keys containing `cycles` may grow at most
-/// `tolerance` over the baseline; booleans the baseline holds `true`
+/// [`TOLERANCE`] over the baseline; booleans the baseline holds `true`
 /// must stay `true`; a gated baseline metric missing from the fresh
 /// report is a failure (schema changes require a baseline refresh).
 /// Everything else — wall-clock seconds, speedups, counts — is
@@ -275,7 +63,7 @@ pub struct DiffOutcome {
 /// # Errors
 ///
 /// The baseline or fresh document fails to parse.
-pub fn compare(baseline: &str, fresh: &str, tolerance: f64) -> Result<DiffOutcome, String> {
+pub fn compare(baseline: &str, fresh: &str) -> Result<DiffOutcome, String> {
     let base = flatten(&parse(baseline).map_err(|e| format!("baseline: {e}"))?);
     let fresh: std::collections::HashMap<String, Json> =
         flatten(&parse(fresh).map_err(|e| format!("fresh: {e}"))?)
@@ -294,13 +82,13 @@ pub fn compare(baseline: &str, fresh: &str, tolerance: f64) -> Result<DiffOutcom
                         if b > 0.0 {
                             out.worst_growth = out.worst_growth.max((f - b) / b);
                         }
-                        if *f > b * (1.0 + tolerance) {
+                        if *f > b * (1.0 + TOLERANCE) {
                             out.regressions.push(Regression {
                                 path,
                                 detail: format!(
                                     "{f:.0} cycles vs baseline {b:.0} (+{:.1}%, limit +{:.0}%)",
                                     (f - b) / b * 100.0,
-                                    tolerance * 100.0
+                                    TOLERANCE * 100.0
                                 ),
                             });
                         }
@@ -357,19 +145,19 @@ mod tests {
     fn gates_cycles_growth_and_boolean_flips() {
         let base = r#"{ "makespan_cycles": 1000, "wall_s": 1.0, "bit_identical": true }"#;
         let same = r#"{ "makespan_cycles": 1100, "wall_s": 9.0, "bit_identical": true }"#;
-        let out = compare(base, same, 0.15).expect("compares");
+        let out = compare(base, same).expect("compares");
         assert!(out.regressions.is_empty(), "{:?}", out.regressions);
         assert_eq!(out.gated_numbers, 1);
         assert_eq!(out.gated_bools, 1);
         assert!((out.worst_growth - 0.1).abs() < 1e-9);
 
         let slow = r#"{ "makespan_cycles": 1200, "wall_s": 0.1, "bit_identical": true }"#;
-        let out = compare(base, slow, 0.15).expect("compares");
+        let out = compare(base, slow).expect("compares");
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(out.regressions[0].path, "makespan_cycles");
 
         let broken = r#"{ "makespan_cycles": 900, "wall_s": 0.1, "bit_identical": false }"#;
-        let out = compare(base, broken, 0.15).expect("compares");
+        let out = compare(base, broken).expect("compares");
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(out.regressions[0].path, "bit_identical");
     }
@@ -378,13 +166,13 @@ mod tests {
     fn missing_gated_metric_fails_but_new_keys_pass() {
         let base = r#"{ "runs": [ { "makespan_cycles": 10 } ] }"#;
         let fresh = r#"{ "runs": [ { "other": 1 } ], "extra": true }"#;
-        let out = compare(base, fresh, 0.15).expect("compares");
+        let out = compare(base, fresh).expect("compares");
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(out.regressions[0].path, "runs[0].makespan_cycles");
         // Baseline-false booleans and wall-clock values are never gated.
         let base = r#"{ "flag": false, "wall_s": 1.0 }"#;
         let fresh = r#"{ "flag": true, "wall_s": 100.0 }"#;
-        assert!(compare(base, fresh, 0.15)
+        assert!(compare(base, fresh)
             .expect("compares")
             .regressions
             .is_empty());

@@ -1423,46 +1423,25 @@ mod tests {
     #[test]
     fn serving_stack_beats_the_barrier_and_estimates_for_free() {
         let r = serving_report();
-        assert!(r.bit_identical, "pipelined outputs must be bit-identical");
-        assert!(
-            r.snapshots_identical,
-            "per-job PerfSnapshots must be bit-identical"
-        );
-        assert!(
-            r.pipelined_speedup > 1.0,
-            "pipelined farm must beat the barriered executor ({:.3}x)",
-            r.pipelined_speedup
-        );
-        assert!(
-            r.fullwidth_speedup >= 1.0,
-            "pipelined farm must not lose to the full-width executor ({:.3}x)",
-            r.fullwidth_speedup
-        );
-        assert_eq!(
-            r.estimate_sim_cycles, 0,
-            "estimates must spend no simulator cycles"
-        );
+        // Every `report-serving` gate except the wall-clock pool
+        // scaling one: that gate needs an otherwise idle 4-core host,
+        // and under the parallel test harness it would measure the
+        // other tests, not the pool.
+        for g in crate::gate::serving_gates(&r) {
+            assert!(
+                g.name == "pool_speedup_4x" || g.pass() == Some(true),
+                "{g:?}"
+            );
+        }
+        // Beyond the gates: the estimate backend produces estimates, and
+        // the server reports a live throughput and a valid occupancy.
         assert!(r.estimated_cycles_total > 0);
-        assert!(
-            r.continuous_bit_identical,
-            "continuous admission must match its barriered same-placement oracle"
-        );
         assert!(r.continuous_makespan_cycles > 0);
         let st = &r.continuous;
-        assert_eq!(st.served_jobs, r.jobs as u64, "server dropped jobs");
-        assert_eq!(st.deadline_misses, 0, "server missed deadlines");
         assert!(st.jobs_per_second > 0.0, "server throughput");
         assert!(
             st.occupancy > 0.0 && st.occupancy <= 1.0,
             "server occupancy"
-        );
-        // Continuous admission delivers each completion as its job
-        // retires; a batch delivers every completion at its makespan.
-        assert!(
-            r.continuous_mean_finish_cycles < r.pipelined_makespan_cycles as f64,
-            "continuous mean finish {:.1} must beat the batch pipelined makespan {}",
-            r.continuous_mean_finish_cycles,
-            r.pipelined_makespan_cycles
         );
     }
 
