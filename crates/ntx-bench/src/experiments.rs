@@ -974,45 +974,86 @@ pub struct HmcReport {
     pub bit_identical: bool,
 }
 
-/// Runs `clusters` copies of `kind` — one single-shard job per cluster
-/// — through a farm under `memory` and returns the batch makespan,
-/// the aggregate perf counters and each job's output.
-fn hmc_weak_scaling_run(
+/// The two streaming jobs `report-hmc` and `report-mesh` sweep, with
+/// their curve labels.
+///
+/// * Streaming conv3x3: the Table I shape at two filters, image in
+///   external memory — compute overlaps the stream, so the curve shows
+///   how much slack the double buffering hides.
+/// * Streaming low-intensity GEMM: a thin K makes the A/B/C streams
+///   dominate the MACs — the memory-bound end of the sweep.
+fn streaming_jobs() -> [(&'static str, ntx_sched::JobKind); 2] {
+    use ntx_sched::JobKind;
+    let conv_kernel = Conv2dKernel {
+        height: 66,
+        width: 63,
+        k: 3,
+        filters: 2,
+    };
+    let conv = JobKind::Conv2d {
+        kernel: conv_kernel,
+        image: test_data(
+            (conv_kernel.height * conv_kernel.width) as usize,
+            0x0d15_ea5e,
+        ),
+        weights: test_data((9 * conv_kernel.filters) as usize, 0x600d_cafe),
+    };
+    let dims = GemmKernel { m: 48, k: 8, n: 24 };
+    let gemm = JobKind::Gemm {
+        dims,
+        a: test_data((dims.m * dims.k) as usize, 0xbead_5eed),
+        b: test_data((dims.k * dims.n) as usize, 0xface_b00c),
+    };
+    [
+        ("conv3x3 66x63x2 streaming", conv),
+        ("gemm 48x8x24 streaming", gemm),
+    ]
+}
+
+/// Per-job output sets bitwise identical.
+fn outputs_identical(a: &[Vec<f32>], b: &[Vec<f32>]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits_equal(x, y))
+}
+
+/// Runs `clusters` single-shard copies of `kind` under `memory`, with
+/// job `i` placed by `place(i) = (cluster, home cube)`, and returns
+/// the batch makespan, the farm's counter totals (including the
+/// remote-traffic attribution) and each job's output.
+fn mesh_scaling_run(
     kind: &ntx_sched::JobKind,
     clusters: usize,
     memory: ntx_sched::MemoryModel,
+    place: impl Fn(usize) -> (usize, Option<u32>),
 ) -> (u64, PerfSnapshot, Vec<Vec<f32>>) {
     use ntx_sched::{ClusterFarm, Job, JobMeta, PlacedJob, Tiler};
     let mut farm = ClusterFarm::with_memory(clusters, ClusterConfig::default(), memory);
     let placed: Vec<PlacedJob> = (0..clusters)
-        .map(|c| {
-            let job = Job::new(c as u64, format!("job-{c}"), kind.clone());
+        .map(|i| {
+            let job = Job::new(i as u64, format!("job-{i}"), kind.clone());
             let mut plans = Tiler::new(1)
                 .plan(&job, farm.cluster(0))
                 .expect("single-shard streaming job");
             let plan = plans.pop().expect("one plan per shard");
+            let (cluster, home_cube) = place(i);
             PlacedJob {
                 meta: JobMeta {
                     id: job.id,
                     label: job.label.clone(),
                     output_len: job.output_len(),
                     class: job.kind.class(),
-                    home_cube: None,
+                    home_cube,
                 },
-                shards: vec![(c, plan)],
+                shards: vec![(cluster, plan)],
             }
         })
         .collect();
     let batch = farm.run_batch(placed, true);
-    let mut perf = PerfSnapshot::default();
-    for p in &batch.report.per_cluster {
-        perf.accumulate(p);
-    }
     let outputs = batch.results.into_iter().map(|r| r.output).collect();
-    (batch.report.makespan_cycles, perf, outputs)
+    (batch.report.makespan_cycles, farm.perf_totals(), outputs)
 }
 
-/// Sweeps one workload over `counts` clusters in both memory models.
+/// Sweeps one workload over `counts` clusters on ideal memories and on
+/// one shared cube (the 1-cube mesh).
 fn hmc_curve(
     label: &str,
     kind: &ntx_sched::JobKind,
@@ -1020,17 +1061,14 @@ fn hmc_curve(
     hmc: ntx_sched::HmcConfig,
     freq_hz: f64,
 ) -> HmcWorkloadCurve {
-    use ntx_sched::MemoryModel;
+    use ntx_sched::{MemoryModel, MeshConfig};
+    let cube = MemoryModel::HmcMesh(MeshConfig::default().with_cubes(1).with_cube(hmc));
     let points = counts
         .iter()
         .map(|&n| {
-            let (ideal, _, out_i) = hmc_weak_scaling_run(kind, n, MemoryModel::Ideal);
-            let (contended, perf, out_c) =
-                hmc_weak_scaling_run(kind, n, MemoryModel::SharedHmc(hmc));
-            let bit_identical = out_i.len() == out_c.len()
-                && out_i.iter().zip(&out_c).all(|(a, b)| {
-                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                });
+            let (ideal, _, out_i) = mesh_scaling_run(kind, n, MemoryModel::Ideal, |i| (i, None));
+            let (contended, perf, out_c) = mesh_scaling_run(kind, n, cube, |i| (i, None));
+            let bit_identical = outputs_identical(&out_i, &out_c);
             let seconds = contended as f64 / freq_hz;
             HmcScalingPoint {
                 clusters: n,
@@ -1073,36 +1111,10 @@ pub fn hmc_report() -> HmcReport {
 /// run a reduced sweep; the `report-hmc` binary runs the full one).
 #[must_use]
 pub fn hmc_report_sweep(counts: &[usize]) -> HmcReport {
-    use ntx_sched::JobKind;
     let hmc = ntx_sched::HmcConfig::default();
     let freq = ClusterConfig::default().ntx_freq_hz;
-    // Streaming conv3x3: the Table I shape at two filters, image in
-    // external memory — compute overlaps the stream, so the curve
-    // shows how much slack the double buffering hides.
-    let conv_kernel = Conv2dKernel {
-        height: 66,
-        width: 63,
-        k: 3,
-        filters: 2,
-    };
-    let conv = JobKind::Conv2d {
-        kernel: conv_kernel,
-        image: test_data(
-            (conv_kernel.height * conv_kernel.width) as usize,
-            0x0d15_ea5e,
-        ),
-        weights: test_data((9 * conv_kernel.filters) as usize, 0x600d_cafe),
-    };
-    // Streaming low-intensity GEMM: a thin K makes the A/B/C streams
-    // dominate the MACs — the memory-bound end of the sweep.
-    let dims = GemmKernel { m: 48, k: 8, n: 24 };
-    let gemm = JobKind::Gemm {
-        dims,
-        a: test_data((dims.m * dims.k) as usize, 0xbead_5eed),
-        b: test_data((dims.k * dims.n) as usize, 0xface_b00c),
-    };
-    let conv = hmc_curve("conv3x3 66x63x2 streaming", &conv, counts, hmc, freq);
-    let gemm = hmc_curve("gemm 48x8x24 streaming", &gemm, counts, hmc, freq);
+    let [conv, gemm] =
+        streaming_jobs().map(|(label, kind)| hmc_curve(label, &kind, counts, hmc, freq));
     let bit_identical = conv
         .points
         .iter()
@@ -1178,43 +1190,6 @@ pub struct MeshReport {
     pub bit_identical: bool,
 }
 
-/// Runs `clusters` single-shard copies of `kind` under `memory`, with
-/// job `i` placed by `place(i) = (cluster, home cube)`, and returns
-/// the batch makespan, the farm's counter totals (including the
-/// remote-traffic attribution) and each job's output.
-fn mesh_scaling_run(
-    kind: &ntx_sched::JobKind,
-    clusters: usize,
-    memory: ntx_sched::MemoryModel,
-    place: impl Fn(usize) -> (usize, Option<u32>),
-) -> (u64, PerfSnapshot, Vec<Vec<f32>>) {
-    use ntx_sched::{ClusterFarm, Job, JobMeta, PlacedJob, Tiler};
-    let mut farm = ClusterFarm::with_memory(clusters, ClusterConfig::default(), memory);
-    let placed: Vec<PlacedJob> = (0..clusters)
-        .map(|i| {
-            let job = Job::new(i as u64, format!("job-{i}"), kind.clone());
-            let mut plans = Tiler::new(1)
-                .plan(&job, farm.cluster(0))
-                .expect("single-shard streaming job");
-            let plan = plans.pop().expect("one plan per shard");
-            let (cluster, home_cube) = place(i);
-            PlacedJob {
-                meta: JobMeta {
-                    id: job.id,
-                    label: job.label.clone(),
-                    output_len: job.output_len(),
-                    class: job.kind.class(),
-                    home_cube,
-                },
-                shards: vec![(cluster, plan)],
-            }
-        })
-        .collect();
-    let batch = farm.run_batch(placed, true);
-    let outputs = batch.results.into_iter().map(|r| r.output).collect();
-    (batch.report.makespan_cycles, farm.perf_totals(), outputs)
-}
-
 /// Sweeps one workload over the `(clusters, cubes)` points.
 fn mesh_curve(
     label: &str,
@@ -1243,13 +1218,6 @@ fn mesh_curve(
                 mesh_scaling_run(kind, n, MemoryModel::HmcMesh(mesh_of(cubes)), |i| {
                     ((i + shift) % n, Some(cube_of(i)))
                 });
-            let eq = |a: &Vec<Vec<f32>>, b: &Vec<Vec<f32>>| {
-                a.len() == b.len()
-                    && a.iter().zip(b).all(|(x, y)| {
-                        x.len() == y.len()
-                            && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-                    })
-            };
             MeshScalingPoint {
                 clusters: n,
                 cubes,
@@ -1265,7 +1233,8 @@ fn mesh_curve(
                 } else {
                     perf_n.ext_remote_wait_cycles as f64 / perf_n.cycles as f64
                 },
-                bit_identical: eq(&out_i, &out_a) && eq(&out_i, &out_n),
+                bit_identical: outputs_identical(&out_i, &out_a)
+                    && outputs_identical(&out_i, &out_n),
             }
         })
         .collect();
@@ -1292,32 +1261,11 @@ pub fn mesh_report() -> MeshReport {
 /// unit tests run a reduced sweep; `report-mesh` runs the full one).
 #[must_use]
 pub fn mesh_report_sweep(points: &[(usize, u32)]) -> MeshReport {
-    use ntx_sched::JobKind;
     let mesh_of = |cubes: u32| ntx_sched::MeshConfig::default().with_cubes(cubes);
     let probe = mesh_of(1);
     let freq = ClusterConfig::default().ntx_freq_hz;
-    let conv_kernel = Conv2dKernel {
-        height: 66,
-        width: 63,
-        k: 3,
-        filters: 2,
-    };
-    let conv = JobKind::Conv2d {
-        kernel: conv_kernel,
-        image: test_data(
-            (conv_kernel.height * conv_kernel.width) as usize,
-            0x0d15_ea5e,
-        ),
-        weights: test_data((9 * conv_kernel.filters) as usize, 0x600d_cafe),
-    };
-    let dims = GemmKernel { m: 48, k: 8, n: 24 };
-    let gemm = JobKind::Gemm {
-        dims,
-        a: test_data((dims.m * dims.k) as usize, 0xbead_5eed),
-        b: test_data((dims.k * dims.n) as usize, 0xface_b00c),
-    };
-    let conv = mesh_curve("conv3x3 66x63x2 streaming", &conv, points, mesh_of);
-    let gemm = mesh_curve("gemm 48x8x24 streaming", &gemm, points, mesh_of);
+    let [conv, gemm] =
+        streaming_jobs().map(|(label, kind)| mesh_curve(label, &kind, points, mesh_of));
     let bit_identical = conv
         .points
         .iter()

@@ -821,7 +821,7 @@ mod tests {
         let ports = 4u32;
         let words = 400u32;
         let cfg = crate::hmc::HmcConfig::default().with_interconnect_bits(64);
-        let mut sub = crate::hmc::HmcSubsystem::new(cfg, ports, 1.25e9, 1);
+        let sub = crate::hmc::HmcSubsystem::new(cfg, ports, 1.25e9, 1);
         let share = sub.shared_words_per_cycle() / f64::from(ports);
         let expected = f64::from(words) / share;
         let mut finish = Vec::new();
@@ -830,7 +830,8 @@ mod tests {
             let mut dma = DmaEngine::new(1);
             let mut tcdm = Tcdm::default();
             let mut ic = Interconnect::new(32);
-            sub.mem(i).write_f32_slice(0, &vec![1.0; words as usize]);
+            let mut ext = ExtMemory::new();
+            ext.write_f32_slice(0, &vec![1.0; words as usize]);
             dma.push(DmaDescriptor::linear(
                 0,
                 0,
@@ -840,7 +841,7 @@ mod tests {
             let mut cycles = 0u64;
             while !dma.is_idle() {
                 cycles += dma
-                    .burst_sole_throttled(&mut tcdm, sub.mem(i), &mut ic, port, cycles, u64::MAX)
+                    .burst_sole_throttled(&mut tcdm, &mut ext, &mut ic, port, cycles, u64::MAX)
                     .cycles;
             }
             assert_eq!(dma.bytes_moved(), u64::from(4 * words));

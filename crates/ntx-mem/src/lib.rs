@@ -16,12 +16,13 @@
 //!   HMC's DRAM vaults in the paper) with traffic counters;
 //! * [`hmc`] — the shared Hybrid Memory Cube subsystem: organisation
 //!   parameters for the system-level models, plus the
-//!   [`HmcSubsystem`]/[`HmcPort`] per-cycle bandwidth arbiter that
-//!   multi-cluster simulations draw their external-memory slots from
-//!   (selected via [`MemoryModel`]);
+//!   [`HmcSubsystem`]/[`HmcPort`] per-cycle bandwidth arbiter of one
+//!   cube (bandwidth only; every cluster keeps its own [`ExtMemory`]);
 //! * [`mesh`] — the multi-cube scale-out substrate: an [`HmcMesh`] of
 //!   per-cube subsystems with home-cube data placement and a
-//!   serial-link hop model for remote traffic.
+//!   serial-link hop model for remote traffic. Multi-cluster
+//!   simulations select it via [`MemoryModel`]; one shared cube is the
+//!   1-cube mesh.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

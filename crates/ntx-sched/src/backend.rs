@@ -139,8 +139,8 @@ fn estimate_for(job: &Job, shards: usize, roofline: &Roofline, freq_hz: f64) -> 
 
 /// Roofline instance matching a scale-out configuration: peaks from
 /// the cluster hardware parameters, conflict derating from the
-/// paper's §III-C measurement, and — under [`MemoryModel::SharedHmc`]
-/// — the memory roof capped at this cluster's fair share of the
+/// paper's §III-C measurement, and — under [`MemoryModel::HmcMesh`]
+/// — the memory roof capped at this cluster's fair share of its
 /// cube's vault/LoB bandwidth, so admission estimates and the
 /// analytical backend see the same saturation ceiling the cycle-level
 /// arbiter enforces.
@@ -152,9 +152,6 @@ fn roofline_for(config: &ScaleOutConfig) -> Roofline {
     };
     match config.memory {
         MemoryModel::Ideal => r,
-        MemoryModel::SharedHmc(hmc) => {
-            r.with_shared_bandwidth(hmc.shared_bandwidth(), config.clusters)
-        }
         MemoryModel::HmcMesh(mesh) => r.with_mesh_bandwidth(
             mesh.cube.shared_bandwidth(),
             config.clusters,

@@ -11,7 +11,7 @@
 //! [`Server`](crate::Server); the executor itself is the synchronous
 //! core both paths share.
 
-use ntx_mem::{HmcConfig, MemoryModel, MeshConfig};
+use ntx_mem::{MemoryModel, MeshConfig};
 use ntx_sim::{Cluster, ClusterConfig};
 
 use crate::backend::{
@@ -40,12 +40,12 @@ pub struct ScaleOutConfig {
     /// Estimated cycles of work one shard should carry before the
     /// space-sharing heuristic adds another cluster to a job.
     pub target_shard_cycles: u64,
-    /// External-memory model: ideal private memories (the default),
-    /// one shared HMC whose vault/LoB bandwidth every cluster's DMA
-    /// draws from ([`MemoryModel::SharedHmc`]), or a multi-cube mesh
-    /// with per-cube subsystems and serial-link hop costs
-    /// ([`MemoryModel::HmcMesh`]). Data outputs are bit-identical
-    /// either way; only timing changes.
+    /// External-memory model: ideal private memories (the default), or
+    /// an HMC mesh ([`MemoryModel::HmcMesh`]) whose per-cube vault/LoB
+    /// bandwidth the attached clusters' DMA draws from, with
+    /// serial-link hop costs for off-cube traffic. One shared HMC is
+    /// the 1-cube mesh. Data outputs are bit-identical either way;
+    /// only timing changes.
     pub memory: MemoryModel,
     /// On a mesh, prefer clusters attached to a job's home cube over
     /// less-loaded remote ones (data-affine placement, the default).
@@ -102,18 +102,10 @@ impl ScaleOutConfig {
         self
     }
 
-    /// Runs every cluster against one shared HMC: DMA ext transfers
-    /// draw from the cube's vault/LoB bandwidth instead of ideal
-    /// private memories.
-    #[must_use]
-    pub fn with_shared_hmc(mut self, hmc: HmcConfig) -> Self {
-        self.memory = MemoryModel::SharedHmc(hmc);
-        self
-    }
-
-    /// Runs the farm on a multi-cube HMC mesh: clusters are block-
-    /// partitioned over the cubes, jobs carry a home cube, and remote
-    /// shards pay serial-link bandwidth and hop latency.
+    /// Runs the farm on an HMC mesh: clusters are block-partitioned
+    /// over the cubes, jobs carry a home cube, and remote shards pay
+    /// serial-link bandwidth and hop latency. A 1-cube mesh runs every
+    /// cluster against one shared HMC.
     #[must_use]
     pub fn with_hmc_mesh(mut self, mesh: MeshConfig) -> Self {
         self.memory = MemoryModel::HmcMesh(mesh);

@@ -32,7 +32,7 @@
 //! window would make the per-job counters diverge from the barriered
 //! reference.
 
-use ntx_mem::{HmcMesh, HmcPort, HmcSubsystem, MemoryModel};
+use ntx_mem::{HmcMesh, HmcPort, MemoryModel};
 use ntx_sim::{Cluster, ClusterConfig, FaultPlan, PerfSnapshot};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -466,9 +466,8 @@ pub struct ClusterFarm {
     clock: Vec<u64>,
     /// Per-cluster estimated cycles still queued (placement load).
     queued_hint: Vec<u64>,
-    /// The mesh geometry when the farm runs on [`MemoryModel::HmcMesh`]
-    /// (its backing stores are moved into the clusters; what remains
-    /// computes ports, homes, and hop costs).
+    /// The mesh geometry when the farm runs on [`MemoryModel::HmcMesh`]:
+    /// it computes ports, homes, and hop costs.
     mesh: Option<HmcMesh>,
     /// Farm-lifetime accumulation of every retired shard's counter
     /// delta (both batch and continuous mode) — the serving layer's
@@ -557,13 +556,14 @@ impl ClusterFarm {
     }
 
     /// Builds the farm under an explicit external-memory model. With
-    /// [`MemoryModel::SharedHmc`] one [`HmcSubsystem`] hands every
-    /// cluster its backing store and a port of the shared vault/LoB
-    /// bandwidth schedule, so concurrent DMA streams contend for
-    /// external-memory slots instead of each owning an ideal pipe —
-    /// the farm's clusters stay independent simulations (grants are a
-    /// pure function of the cycle), so every drive mode, the worker
-    /// pool included, keeps working unchanged.
+    /// [`MemoryModel::HmcMesh`] every shard's cluster draws from a port
+    /// of its cube's vault/LoB bandwidth schedule (or of a serial link,
+    /// for a remote home cube), so concurrent DMA streams contend for
+    /// external-memory slots instead of each owning an ideal pipe. One
+    /// shared cube is the 1-cube mesh. The farm's clusters stay
+    /// independent simulations (grants are a pure function of the
+    /// cycle), so every drive mode, the worker pool included, keeps
+    /// working unchanged.
     ///
     /// # Panics
     ///
@@ -571,55 +571,27 @@ impl ClusterFarm {
     #[must_use]
     pub fn with_memory(clusters: usize, config: ClusterConfig, memory: MemoryModel) -> Self {
         assert!(clusters > 0, "need at least one cluster");
-        let mut mesh = None;
-        let built: Vec<Cluster> = match memory {
-            MemoryModel::Ideal => (0..clusters).map(|_| Cluster::new(config)).collect(),
-            MemoryModel::SharedHmc(hmc) => {
-                let mut sub = HmcSubsystem::new(
-                    hmc,
-                    u32::try_from(clusters).expect("cluster count fits u32"),
-                    config.ntx_freq_hz,
-                    config.dma_words_per_cycle,
-                );
-                sub.take_memories()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, mem)| {
-                        let mut c = Cluster::new(ClusterConfig {
-                            ext_port: Some(sub.port(i as u32)),
-                            ..config
-                        });
-                        c.install_ext(mem);
-                        c
-                    })
-                    .collect()
-            }
-            MemoryModel::HmcMesh(mc) => {
-                let mut m = HmcMesh::new(
+        let (mesh, cluster_config) = match memory {
+            MemoryModel::Ideal => (None, config),
+            // Ports are wired per shard (they depend on the job's home
+            // cube), so clusters start with no schedule; every
+            // `run_shard` installs the right one before staging.
+            MemoryModel::HmcMesh(mc) => (
+                Some(HmcMesh::new(
                     mc,
                     u32::try_from(clusters).expect("cluster count fits u32"),
                     config.ntx_freq_hz,
                     config.dma_words_per_cycle,
-                );
-                // Ports are wired per shard (they depend on the job's
-                // home cube), so clusters start with no schedule; every
-                // `run_shard` installs the right one before staging.
-                let built = m
-                    .take_memories()
-                    .into_iter()
-                    .map(|mem| {
-                        let mut c = Cluster::new(ClusterConfig {
-                            ext_port: None,
-                            ..config
-                        });
-                        c.install_ext(mem);
-                        c
-                    })
-                    .collect();
-                mesh = Some(m);
-                built
-            }
+                )),
+                ClusterConfig {
+                    ext_port: None,
+                    ..config
+                },
+            ),
         };
+        let built: Vec<Cluster> = (0..clusters)
+            .map(|_| Cluster::new(cluster_config))
+            .collect();
         Self {
             clusters: built,
             config,

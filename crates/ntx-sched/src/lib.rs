@@ -27,12 +27,13 @@
 //!   barriered reference (`pipelined: false`), which is kept as the
 //!   differential oracle;
 //! * **Memory** — [`ScaleOutConfig::memory`] selects the
-//!   external-memory model: ideal private memories, or one shared HMC
-//!   ([`MemoryModel::SharedHmc`]) whose vault/LoB bandwidth every
-//!   cluster's DMA draws from through a deterministic per-cycle slot
-//!   schedule — scale-out then shows the companion paper's
-//!   memory-bound saturation, while data outputs stay bit-identical
-//!   to the ideal runs;
+//!   external-memory model: ideal private memories, or an HMC mesh
+//!   ([`MemoryModel::HmcMesh`]) whose per-cube vault/LoB bandwidth the
+//!   attached clusters' DMA draws from through a deterministic
+//!   per-cycle slot schedule. On one cube scale-out shows the
+//!   companion paper's memory-bound saturation; more cubes with
+//!   home-cube placement lift it. Data outputs stay bit-identical to
+//!   the ideal runs;
 //! * **Tiling** — the [`Tiler`] shards each job into per-cluster tiles
 //!   sized to the TCDM, reusing the engine-level `split_work` rule so
 //!   every shard computes exactly what the single-cluster lowering
@@ -40,12 +41,12 @@
 //!   double-buffered DMA schedule;
 //! * **Serving** — the [`Server`] runs the farm as a persistent
 //!   service: clients hold cloneable [`Session`]s and submit through
-//!   the fluent [`JobBuilder`]; with continuous admission (the
-//!   default) every job is validated, planned and placed onto the
-//!   least-loaded clusters the moment it arrives — sized to graded
-//!   cluster subsets by a measured-duration [`DurationTable`] (EWMA of
-//!   actual cluster-cycles, seeded by roofline estimates) — and its
-//!   completion is delivered the shard event its last shard retires.
+//!   the fluent [`JobBuilder`]; every job is validated, planned and
+//!   placed onto the least-loaded clusters the moment it arrives —
+//!   sized to graded cluster subsets by a measured-duration
+//!   [`DurationTable`] (EWMA of actual cluster-cycles, seeded by
+//!   roofline estimates) — and its completion is delivered the shard
+//!   event its last shard retires.
 //!   Ready jobs are admitted highest priority first and dependency
 //!   edges hold a job back until its predecessors finish; the
 //!   barriered farm remains the bit-exact oracle;
@@ -112,7 +113,7 @@ pub use farm::{
     resolve_worker_threads, ClusterFarm, FaultStats, JobMeta, PlacedJob, PoolStats, ShardRetire,
 };
 pub use job::{Job, JobClass, JobKind, JobOpts, JobQueue, RawJob};
-pub use ntx_mem::{HmcConfig, HmcMesh, HmcSubsystem, MemoryModel, MeshConfig};
+pub use ntx_mem::{HmcConfig, HmcMesh, MemoryModel, MeshConfig};
 pub use ntx_sim::{ClusterKill, FaultPlan, LinkFault, StallSpec};
 pub use pipeline::TilePipeline;
 pub use report::{ScaleOutReport, ServingReport};

@@ -59,17 +59,8 @@ impl ServerConfig {
         }
     }
 
-    /// Serves against one shared HMC instead of ideal private
-    /// memories (see
-    /// [`ScaleOutConfig::with_shared_hmc`](crate::ScaleOutConfig::with_shared_hmc)).
-    #[must_use]
-    pub fn with_shared_hmc(mut self, hmc: ntx_mem::HmcConfig) -> Self {
-        self.scale_out = self.scale_out.with_shared_hmc(hmc);
-        self
-    }
-
-    /// Serves against a multi-cube HMC mesh with home-cube data
-    /// placement (see
+    /// Serves against an HMC mesh with home-cube data placement; a
+    /// 1-cube mesh is one shared HMC (see
     /// [`ScaleOutConfig::with_hmc_mesh`](crate::ScaleOutConfig::with_hmc_mesh)).
     #[must_use]
     pub fn with_hmc_mesh(mut self, mesh: ntx_mem::MeshConfig) -> Self {

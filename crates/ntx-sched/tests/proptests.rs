@@ -290,11 +290,12 @@ proptest! {
     }
 
     /// Shared-HMC contention against the ideal-memory oracle, on
-    /// random multi-job mixes: drawing every DMA ext beat from a
-    /// tightly shared vault/LoB budget may only *stretch* timing —
-    /// per-job outputs stay bit-identical, external traffic volumes
-    /// stay equal, cycles never shrink, and the contended farm's
-    /// pipelined/barriered differential continues to hold (the
+    /// random multi-job mixes: drawing every DMA ext beat from the
+    /// tightly shared vault/LoB budget of one cube (the 1-cube mesh)
+    /// may only *stretch* timing — per-job outputs stay bit-identical,
+    /// external traffic volumes stay equal, cycles never shrink, no
+    /// byte or cycle is attributed to a serial link, and the contended
+    /// farm's pipelined/barriered differential continues to hold (the
     /// throttled burst fast path is exercised inside `run_batch`).
     #[test]
     fn shared_hmc_contention_changes_timing_not_data(
@@ -302,7 +303,9 @@ proptest! {
     ) {
         // 8 GB/s of shared LoB bandwidth: 1.6 words/cycle split across
         // the clusters — a hard throttle against their 1-word ports.
-        let hmc = HmcConfig::default().with_interconnect_bits(64);
+        let cube = MeshConfig::default()
+            .with_cubes(1)
+            .with_cube(HmcConfig::default().with_interconnect_bits(64));
         let fill = |kinds: &[JobKind]| {
             let mut q = JobQueue::new();
             for (i, kind) in kinds.iter().enumerate() {
@@ -317,7 +320,7 @@ proptest! {
             ..ScaleOutConfig::with_clusters(clusters).barriered()
         };
         let mut ideal = ScaleOutExecutor::new(base);
-        let mut contended = ScaleOutExecutor::new(base.with_shared_hmc(hmc));
+        let mut contended = ScaleOutExecutor::new(base.with_hmc_mesh(cube));
         let ri = ideal.run_queue(&mut fill(&kinds)).expect("ideal batch");
         let rc = contended.run_queue(&mut fill(&kinds)).expect("contended batch");
         let traffic = |r: &ntx_sched::BatchResult| -> (u64, u64, u64) {
@@ -340,7 +343,7 @@ proptest! {
         // The contended farm keeps its own differential: pipelined,
         // space-shared execution vs the barriered same-placement
         // reference, both under the shared HMC.
-        let shared = ScaleOutConfig::with_clusters(clusters).with_shared_hmc(hmc);
+        let shared = ScaleOutConfig::with_clusters(clusters).with_hmc_mesh(cube);
         let mut pipelined = ScaleOutExecutor::new(shared);
         let mut barriered = ScaleOutExecutor::new(shared.barriered());
         let p = pipelined.run_queue(&mut fill(&kinds)).expect("pipelined contended");
@@ -352,6 +355,13 @@ proptest! {
                 "per-job PerfSnapshots must stay bit-identical under contention"
             );
             assert_eq!(rp.report.makespan_cycles, rb.report.makespan_cycles);
+        }
+        // Every cluster is local to the only cube: no remote traffic.
+        for j in rc.results.iter().chain(&p.results).chain(&b.results) {
+            for perf in &j.report.per_cluster {
+                assert_eq!(perf.ext_remote_bytes, 0, "no remote traffic on one cube");
+                assert_eq!(perf.ext_remote_wait_cycles, 0);
+            }
         }
         assert!(p.report.makespan_cycles <= b.report.makespan_cycles);
         // And the space-shared contended outputs still match the
@@ -603,8 +613,8 @@ proptest! {
     /// and the fault counters must all equal the serial farm's — under
     /// mid-shard cluster kills (speculated shards on the dead cluster
     /// are invalidated and re-run on survivors) and transient stalls,
-    /// with shared-HMC and 2-cube-mesh ports travelling to the worker
-    /// threads.
+    /// with 1-cube (shared-HMC) and 2-cube mesh ports travelling to
+    /// the worker threads.
     #[test]
     fn pooled_farm_is_bit_identical_to_serial(
         (kinds, clusters, steps_between, threads, mem_sel, seed, kill_cluster, kill_cycle) in (
@@ -626,7 +636,7 @@ proptest! {
         let base = ScaleOutConfig::with_clusters(clusters).with_faults(plan);
         let base = match mem_sel {
             0 => base,
-            1 => base.with_shared_hmc(hmc),
+            1 => base.with_hmc_mesh(MeshConfig::default().with_cubes(1).with_cube(hmc)),
             _ => base.with_hmc_mesh(MeshConfig::default().with_cubes(2).with_cube(hmc)),
         };
         let (rs, ts, ss) =
@@ -728,18 +738,21 @@ fn late_small_job_overtakes_inflight_wave() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Mesh degeneracy: a 1-cube [`MeshConfig`] is the *same machine*
-    /// as the PR 5 shared-HMC subsystem — every cluster is local to the
-    /// only cube, so ports, grants, outputs, per-job `PerfSnapshot`s
-    /// (including the new remote counters, which must stay zero) and
-    /// makespans are bit-identical, not merely close. Run under a
-    /// tight 64-bit LoB so the schedule actually throttles.
+    /// Mesh degeneracy: a 1-cube [`MeshConfig`] is the single shared
+    /// HMC — every cluster is local to the only cube, so no shard ever
+    /// takes a serial link and data-affine placement has nothing to
+    /// prefer. Neither the link latency (the one knob a mesh adds to a
+    /// cube) nor turning affinity off may then change anything:
+    /// outputs, per-job `PerfSnapshot`s (whose remote counters stay
+    /// zero), windows and makespans are bit-identical, not merely
+    /// close. Run under a tight 64-bit LoB so the schedule actually
+    /// throttles.
     #[test]
     fn one_cube_mesh_degenerates_to_shared_hmc(
         (kinds, clusters) in (prop::collection::vec(arb_kind(), 1..5), 2usize..6)
     ) {
         let hmc = HmcConfig::default().with_interconnect_bits(64);
-        let mesh = MeshConfig::default().with_cubes(1).with_cube(hmc);
+        let cube = MeshConfig::default().with_cubes(1).with_cube(hmc);
         let fill = |kinds: &[JobKind]| {
             let mut q = JobQueue::new();
             for (i, kind) in kinds.iter().enumerate() {
@@ -748,24 +761,30 @@ proptest! {
             q
         };
         let base = ScaleOutConfig::with_clusters(clusters);
-        let mut shared = ScaleOutExecutor::new(base.with_shared_hmc(hmc));
-        let mut meshed = ScaleOutExecutor::new(base.with_hmc_mesh(mesh));
-        let rs = shared.run_queue(&mut fill(&kinds)).expect("shared batch");
-        let rm = meshed.run_queue(&mut fill(&kinds)).expect("mesh batch");
-        for (s, m) in rs.results.iter().zip(&rm.results) {
-            assert_bits_eq(&s.output, &m.output, "1-cube mesh vs shared HMC output");
-            assert_eq!(
-                s.report.per_cluster, m.report.per_cluster,
-                "per-job PerfSnapshots must be bit-identical on a 1-cube mesh"
-            );
-            assert_eq!(s.report.makespan_cycles, m.report.makespan_cycles);
-            assert_eq!((s.start_cycle, s.finish_cycle), (m.start_cycle, m.finish_cycle));
-            for p in m.report.per_cluster.iter() {
-                assert_eq!(p.ext_remote_bytes, 0, "no remote traffic on one cube");
-                assert_eq!(p.ext_remote_wait_cycles, 0);
+        let near = base.with_hmc_mesh(cube.with_link_latency(0));
+        let far = base.with_hmc_mesh(cube.with_link_latency(10_000));
+        let rn = ScaleOutExecutor::new(near)
+            .run_queue(&mut fill(&kinds))
+            .expect("zero-latency batch");
+        for (what, config) in [("link latency", far), ("affinity off", far.without_affinity())] {
+            let rf = ScaleOutExecutor::new(config)
+                .run_queue(&mut fill(&kinds))
+                .expect("1-cube mesh batch");
+            for (n, f) in rn.results.iter().zip(&rf.results) {
+                assert_bits_eq(&n.output, &f.output, what);
+                assert_eq!(
+                    n.report.per_cluster, f.report.per_cluster,
+                    "per-job PerfSnapshots must be bit-identical on a 1-cube mesh ({what})"
+                );
+                assert_eq!(n.report.makespan_cycles, f.report.makespan_cycles, "{what}");
+                assert_eq!((n.start_cycle, n.finish_cycle), (f.start_cycle, f.finish_cycle));
+                for p in f.report.per_cluster.iter() {
+                    assert_eq!(p.ext_remote_bytes, 0, "no remote traffic on one cube");
+                    assert_eq!(p.ext_remote_wait_cycles, 0);
+                }
             }
+            assert_eq!(rn.report.makespan_cycles, rf.report.makespan_cycles, "{what}");
         }
-        assert_eq!(rs.report.makespan_cycles, rm.report.makespan_cycles);
     }
 
     /// Placement is a timing policy, not a data policy: running the

@@ -37,10 +37,12 @@ pub struct ClusterConfig {
     /// per-cycle path.
     pub fast_path: bool,
     /// Shared external-memory bandwidth schedule (a port of an
-    /// [`ntx_mem::HmcSubsystem`]). `None` models the ideal private
-    /// memory of the stand-alone cluster; `Some` clips every DMA
-    /// ext-transfer beat at the slots the shared HMC grants this
-    /// cluster in that cycle — timing changes, data never does.
+    /// [`ntx_mem::HmcSubsystem`] or of an [`ntx_mem::HmcMesh`] cube).
+    /// `None` models the ideal private memory of the stand-alone
+    /// cluster; `Some` clips every DMA ext-transfer beat at the slots
+    /// the HMC grants this cluster in that cycle — timing changes,
+    /// data never does. The cluster's own [`ExtMemory`] stays its
+    /// backing store either way.
     pub ext_port: Option<HmcPort>,
 }
 
@@ -672,13 +674,6 @@ impl Cluster {
     /// data and reading back results).
     pub fn ext_mem(&mut self) -> &mut ExtMemory {
         &mut self.ext
-    }
-
-    /// Replaces the external memory behind the AXI port — how a
-    /// cluster farm installs the backing store its shared
-    /// [`ntx_mem::HmcSubsystem`] owns for this cluster's port.
-    pub fn install_ext(&mut self, mem: ExtMemory) {
-        self.ext = mem;
     }
 
     // --- measurement ---
